@@ -93,7 +93,6 @@ func main() {
 	scale := flag.Float64("scale", 0.01, "generated matrix scale in (0,1]")
 	seed := flag.Int64("seed", 1, "RNG seed for generation and partitioning")
 	maxBatch := flag.Int("maxbatch", 8, "widest coalesced SpMM batch")
-	maxWait := flag.Duration("maxwait", 200*time.Microsecond, "batching window for a partial batch")
 	maxQueue := flag.Int("maxqueue", 1024, "per-engine queue depth bound (admission control)")
 	maxEngines := flag.Int("maxengines", 8, "resident engine cap (idle LRU eviction above it)")
 	forceKernel := flag.String("forcekernel", "",
@@ -134,7 +133,6 @@ func main() {
 
 	opt := serve.Options{
 		MaxBatch:    *maxBatch,
-		MaxWait:     *maxWait,
 		MaxQueue:    *maxQueue,
 		MaxEngines:  *maxEngines,
 		Seed:        *seed,
@@ -251,8 +249,8 @@ func main() {
 	for _, m := range pool.Matrices() {
 		fmt.Fprintf(os.Stderr, "spmvserve: serving %s (%dx%d, %d nnz)\n", m.Name, m.Rows, m.Cols, m.NNZ)
 	}
-	fmt.Fprintf(os.Stderr, "spmvserve: listening on %s (default method %s, K=%d, maxbatch %d, maxwait %v)\n",
-		*addr, *defMethod, *defK, *maxBatch, *maxWait)
+	fmt.Fprintf(os.Stderr, "spmvserve: listening on %s (default method %s, K=%d, maxbatch %d)\n",
+		*addr, *defMethod, *defK, *maxBatch)
 
 	// Graceful drain: on SIGTERM/SIGINT flip /readyz to 503 (load
 	// balancers stop routing), close the listener, and let in-flight

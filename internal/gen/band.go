@@ -53,22 +53,25 @@ func Band(cfg BandConfig, seed int64) *sparse.CSR {
 }
 
 // plantDenseRows adds denseRows rows with approximately degree nonzeros at
-// uniformly random columns (mirrored when symmetric). Rows are chosen
-// spread across the index range.
+// uniformly random columns, mirrored when symmetric and the matrix is
+// square (a rectangular matrix has no transpose position to mirror into).
+// Rows are chosen spread across the row range; columns come from
+// [0, Cols).
 func plantDenseRows(c *sparse.COO, r *rand.Rand, denseRows, degree int, symmetric bool) {
 	if denseRows <= 0 || degree <= 0 {
 		return
 	}
-	n := c.Rows
+	m, n := c.Rows, c.Cols
+	mirror := symmetric && m == n
 	for k := 0; k < denseRows; k++ {
-		row := (k*n)/denseRows + r.Intn(n/denseRows+1)
-		if row >= n {
-			row = n - 1
+		row := (k*m)/denseRows + r.Intn(m/denseRows+1)
+		if row >= m {
+			row = m - 1
 		}
 		if degree >= n {
 			for j := 0; j < n; j++ {
 				c.Add(row, j, 0.01)
-				if symmetric {
+				if mirror {
 					c.Add(j, row, 0.01)
 				}
 			}
@@ -77,7 +80,7 @@ func plantDenseRows(c *sparse.COO, r *rand.Rand, denseRows, degree int, symmetri
 		for t := 0; t < degree; t++ {
 			j := r.Intn(n)
 			c.Add(row, j, 0.01)
-			if symmetric {
+			if mirror {
 				c.Add(j, row, 0.01)
 			}
 		}

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/method"
@@ -25,7 +24,7 @@ func BenchmarkSchedulerSubmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := newScheduler(eng, a.Rows, a.Cols,
-		Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond}.withDefaults(), EngineKey{}, "", nil, nil)
+		Options{MaxBatch: 8}.withDefaults(), EngineKey{}, "", nil, nil)
 	defer s.close()
 
 	x := make([]float64, a.Cols)

@@ -98,6 +98,9 @@ func TestHTTPContractTable(t *testing.T) {
 		{name: "multiply bad dimension", method: "POST", path: "/v1/multiply",
 			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"}, X: make([]float64, 7)}),
 			wantStatus: 400, wantCode: CodeBadDimension},
+		{name: "multiply k out of range", method: "POST", path: "/v1/multiply",
+			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap", K: 200000}, X: x196}),
+			wantStatus: 400, wantCode: CodeBadK},
 		{name: "multiply unknown matrix", method: "POST", path: "/v1/multiply",
 			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "nope"}, X: x196}),
 			wantStatus: 404, wantCode: CodeUnknownMatrix},
@@ -115,32 +118,19 @@ func TestHTTPContractTable(t *testing.T) {
 			wantStatus: 401, wantCode: CodeUnauthorized,
 			setup: func(t *testing.T, p *Pool, s *Server) { p.opt.Tenants = keyedReg(t) }},
 		{name: "multiply overloaded", method: "POST", path: "/v1/multiply",
-			opt: Options{MaxQueue: 1, MaxBatch: 64, MaxWait: time.Hour},
+			opt: Options{MaxQueue: 1, MaxBatch: 64},
 			setup: func(t *testing.T, p *Pool, s *Server) {
 				h, err := p.Acquire("lap", "s2d", 4)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(h.Release)
-				sc := h.e.sched
-				tn := p.Tenants().Default()
-				sc.mu.Lock()
-				sc.oldest = time.Now()
-				q := sc.queueForLocked(tn)
-				q.reqs = append(q.reqs, &request{tn: tn, done: make(chan struct{}), enq: sc.oldest})
-				sc.nq++
-				sc.mu.Unlock()
-				t.Cleanup(func() {
-					sc.mu.Lock()
-					sc.tq = make(map[*Tenant]*tenantQueue)
-					sc.nq = 0
-					sc.mu.Unlock()
-				})
+				fillQueue(t, h.e.sched)
 			},
 			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"}, X: x196}),
 			wantStatus: 429, wantCode: CodeOverloaded, wantRetryable: true, wantRetryHdr: true},
 		{name: "multiply deadline", method: "POST", path: "/v1/multiply",
-			opt: Options{MaxBatch: 1, MaxWait: time.Millisecond, FlushDelay: 500 * time.Millisecond,
+			opt: Options{MaxBatch: 1, FlushDelay: 500 * time.Millisecond,
 				Injector: faultinject.New(faultinject.Rule{Point: "flush.slow", Nth: 1})},
 			setup: func(t *testing.T, p *Pool, s *Server) {
 				h, err := p.Acquire("lap", "s2d", 4)
@@ -323,6 +313,35 @@ func TestHTTPContractTable(t *testing.T) {
 				t.Fatalf("error Content-Type %q, want application/json", got)
 			}
 		})
+	}
+}
+
+// TestHTTPPartCountRejectedBeforeBuild: a K past min(rows, cols) — the
+// request that once spent seconds building, or exhausted memory, on the
+// request path — is answered 400 bad_k on both encodings without the
+// pool building an engine.
+func TestHTTPPartCountRejectedBeforeBuild(t *testing.T) {
+	ts, p := newTestServer(t)
+	x := make([]float64, 196)
+	jsonBody, err := json.Marshal(multiplyRequest{engineRequest: engineRequest{Matrix: "lap", K: 200000}, X: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := mustFrame(t, &wire.Frame{Op: wire.OpMultiplyReq, Matrix: "lap", K: 200000, Vectors: [][]float64{x}})
+	for _, c := range []struct {
+		contentType string
+		body        []byte
+	}{{"application/json", jsonBody}, {wire.ContentType, frame}} {
+		resp, body := postRaw(t, ts.URL+"/v1/multiply", c.contentType, "", c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", c.contentType, resp.StatusCode, body)
+		}
+		if env := decodeEnvelope(t, body); env.Code != CodeBadK || env.Retryable {
+			t.Fatalf("%s: envelope %+v, want non-retryable %s", c.contentType, env, CodeBadK)
+		}
+	}
+	if pm := p.MetricsSnapshot(); pm.Builds != 0 || len(pm.Engines) != 0 {
+		t.Fatalf("pool after rejected K: %d builds, %d engines; want none", pm.Builds, len(pm.Engines))
 	}
 }
 

@@ -127,6 +127,19 @@ func (e *PinnedMatrixError) Error() string {
 	return fmt.Sprintf("serve: matrix %q is pinned by engine %s (%d refs)", e.Matrix, e.Key, e.Refs)
 }
 
+// PartCountError reports a part count K outside [1, Max] for a matrix,
+// where Max is the smaller of its dimensions (HTTP 400 bad_k): a
+// partition cannot have more parts than rows or columns. The pool
+// refuses it before building anything, so an absurd K costs nothing.
+type PartCountError struct {
+	Matrix string
+	K, Max int
+}
+
+func (e *PartCountError) Error() string {
+	return fmt.Sprintf("serve: K=%d is outside [1, %d] for matrix %q", e.K, e.Max, e.Matrix)
+}
+
 // DimensionError reports a request vector that does not match the
 // matrix.
 type DimensionError struct {

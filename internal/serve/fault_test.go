@@ -166,7 +166,7 @@ func TestBuildFailureShedsRetryableAndBacksOff(t *testing.T) {
 func TestNaNPayloadQuarantines(t *testing.T) {
 	inj := faultinject.New(faultinject.Rule{Point: "flush.nan", Nth: 1, Count: 1})
 	a := testMatrix(t, 12, 12)
-	opt := Options{MaxBatch: 4, MaxWait: time.Millisecond, Injector: inj, PayloadChecks: true}.withDefaults()
+	opt := Options{MaxBatch: 4, Injector: inj, PayloadChecks: true}.withDefaults()
 	faults := 0
 	s := newScheduler(buildEngine(t, a, "s2d", 4, 1), a.Rows, a.Cols, opt,
 		EngineKey{Matrix: "lap", Method: "s2d", K: 4}, "", nil, func(error) { faults++ })
@@ -198,7 +198,7 @@ func TestNaNPayloadQuarantines(t *testing.T) {
 func TestFlushPanicQuarantines(t *testing.T) {
 	inj := faultinject.New(faultinject.Rule{Point: "flush.panic", Nth: 1, Count: 1})
 	a := testMatrix(t, 12, 12)
-	opt := Options{MaxBatch: 4, MaxWait: time.Millisecond, Injector: inj}.withDefaults()
+	opt := Options{MaxBatch: 4, Injector: inj}.withDefaults()
 	s := newScheduler(buildEngine(t, a, "s2d", 4, 1), a.Rows, a.Cols, opt, EngineKey{}, "", nil, nil)
 	t.Cleanup(s.close)
 
@@ -216,7 +216,8 @@ func TestFlushPanicQuarantines(t *testing.T) {
 // leaves the queue empty — the scheduler half of graceful drain.
 func TestQueueDrainsOnClose(t *testing.T) {
 	a := testMatrix(t, 12, 12)
-	s := newTestScheduler(t, a, Options{MaxBatch: 4, MaxWait: time.Hour})
+	s := newTestScheduler(t, a, Options{MaxBatch: 4})
+	g := holdRunner(t, s)
 
 	const n = 6
 	errs := make(chan error, n)
@@ -226,17 +227,29 @@ func TestQueueDrainsOnClose(t *testing.T) {
 			errs <- err
 		}()
 	}
-	// Let the submissions queue against the hour-long window, then close:
-	// the drain must flush them, not abandon them.
-	time.Sleep(20 * time.Millisecond)
-	s.close()
+	// Let the submissions queue behind the held flush, then close: the
+	// drain must flush them, not abandon them.
+	waitDepth(t, s, n)
+	closed := make(chan struct{})
+	go func() { s.close(); close(closed) }()
+	for {
+		s.mu.Lock()
+		closing := s.closed
+		s.mu.Unlock()
+		if closing {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	g.open()
+	<-closed
 	for i := 0; i < n; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("queued request failed during drain: %v", err)
 		}
 	}
 	m := s.metrics()
-	if m.Requests != n || m.QueueDepth != 0 {
+	if m.Requests != n+1 || m.QueueDepth != 0 { // +1: the plug
 		t.Fatalf("after drain: %+v, want %d served and empty queue", m, n)
 	}
 }
@@ -326,7 +339,6 @@ func TestServerDeadline(t *testing.T) {
 		Injector:   inj,
 		FlushDelay: 300 * time.Millisecond,
 		MaxBatch:   1, // the slow flush must not coalesce the probe request
-		MaxWait:    time.Millisecond,
 	})
 	t.Cleanup(p.Close)
 	if err := p.AddMatrix("lap", testMatrix(t, 14, 14)); err != nil {

@@ -21,7 +21,7 @@ const (
 	StageSolve     = "solve"     // solve: all solver iterations
 	StageEncode    = "encode"    // response marshal
 	StageQueue     = "queue"     // waiting behind other flushes (engine busy)
-	StageAssemble  = "assemble"  // MaxWait aging + batch take + buffer prep
+	StageAssemble  = "assemble"  // runner wake-up + batch take + buffer prep
 	StageFlush     = "flush"     // the engine multiply itself
 	StageExpand    = "expand"    // engine phase: x packet sends
 	StageCompute   = "compute"   // engine phase: local kernel

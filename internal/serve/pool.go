@@ -203,11 +203,9 @@ func (p *Pool) RemoveMatrix(name string) error {
 // Acquire returns a Handle on the engine for (matrix, methodName, k),
 // building it if absent. The first acquirer performs the build (other
 // concurrent acquirers wait on it); the handle pins the engine against
-// eviction until Release.
+// eviction until Release. A K outside [1, min(rows, cols)] is refused
+// with *PartCountError before anything is built.
 func (p *Pool) Acquire(matrix, methodName string, k int) (*Handle, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("serve: K must be >= 1, got %d", k)
-	}
 	m, ok := method.Get(methodName)
 	if !ok {
 		return nil, &UnknownMethodError{Method: methodName}
@@ -223,6 +221,10 @@ func (p *Pool) Acquire(matrix, methodName string, k int) (*Handle, error) {
 		known := append([]string(nil), p.matOrder...)
 		p.mu.Unlock()
 		return nil, &UnknownMatrixError{Matrix: matrix, Known: known}
+	}
+	if maxK := min(a.Rows, a.Cols); k < 1 || k > maxK {
+		p.mu.Unlock()
+		return nil, &PartCountError{Matrix: matrix, K: k, Max: maxK}
 	}
 	key := EngineKey{Matrix: matrix, Method: methodName, K: k}
 	e, ok := p.engines[key]

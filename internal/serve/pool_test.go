@@ -150,8 +150,14 @@ func TestPoolTypedErrors(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want *UnknownMethodError", err)
 	}
-	if _, err = p.Acquire("lap", "s2d", 0); err == nil {
-		t.Fatal("K=0 accepted")
+	var pe *PartCountError
+	for _, k := range []int{0, -3, 197, 200000} { // lap is 196×196
+		if _, err = p.Acquire("lap", "s2d", k); !errors.As(err, &pe) || pe.K != k || pe.Max != 196 {
+			t.Fatalf("K=%d: err = %v, want *PartCountError with Max 196", k, err)
+		}
+	}
+	if b := p.MetricsSnapshot().Builds; b != 0 {
+		t.Fatalf("rejected acquires started %d builds, want 0", b)
 	}
 }
 

@@ -15,9 +15,11 @@ import (
 
 // scheduler coalesces concurrent single-vector multiply submissions into
 // SpMM batches on one engine. A single runner goroutine owns the engine
-// (Multiply calls must never overlap), draining the queues in flushes of
-// up to maxBatch requests; a flush fires as soon as maxBatch requests
-// are eligible, or when the oldest queued request has waited maxWait.
+// (Multiply calls must never overlap) and batches by group commit: the
+// moment the engine is free it flushes whatever is queued, up to
+// maxBatch requests. Nothing ever waits on purpose — a lone request on
+// an idle engine flushes alone at once, and batches form only from the
+// requests that arrive while an earlier flush is running.
 //
 // Admission and ordering are per tenant. Each tenant has its own FIFO
 // bounded by its quota — a hot tenant filling its queue sheds its own
@@ -40,9 +42,8 @@ type scheduler struct {
 
 	mu     sync.Mutex
 	tq     map[*Tenant]*tenantQueue
-	nq     int       // total queued requests across tenants
-	oldest time.Time // earliest enqueue time among queued requests
-	vtime  float64   // stride scheduler's global virtual time
+	nq     int     // total queued requests across tenants
+	vtime  float64 // stride scheduler's global virtual time
 	closed bool
 
 	wake chan struct{} // capacity 1; runner wake-up
@@ -63,7 +64,7 @@ type scheduler struct {
 	// when the engine last became free (end of the previous flush): a
 	// request waits in "queue" while the engine serves earlier flushes
 	// (availT − enq) and in "assemble" from max(enq, availT) until the
-	// engine starts — the deliberate MaxWait aging plus batch take. The
+	// engine starts — runner wake-up, batch take and buffer prep. The
 	// three stages sum exactly to the request's measured latency.
 	availT  time.Time
 	kernel  string            // engine's kernel selection, for flush spans
@@ -214,21 +215,18 @@ func (s *scheduler) submitBatch(ctx context.Context, tn *Tenant, xs [][]float64,
 		s.m.overload()
 		return nil, &OverloadError{Tenant: tn.Name, Depth: depth, Limit: limit}
 	}
-	if s.nq == 0 {
-		s.oldest = now
-	}
 	for _, r := range reqs {
 		r.tq = q
 	}
 	q.reqs = append(q.reqs, reqs...)
 	s.nq += len(reqs)
-	n := s.nq
+	wasEmpty := s.nq == len(reqs)
 	s.mu.Unlock()
 
-	// Wake the runner when the queue goes non-empty (it may be parked
-	// with nothing to wait for) and when a full batch may be ready (it
-	// may be sitting out the remainder of a maxWait window).
-	if n == len(reqs) || n >= s.opt.MaxBatch {
+	// The runner parks only on an empty queue, so only the empty →
+	// non-empty transition needs to wake it; a busy runner takes these
+	// requests with its next flush.
+	if wasEmpty {
 		s.wakeRunner()
 	}
 
@@ -292,26 +290,10 @@ func (s *scheduler) dequeue(req *request) bool {
 		if r == req {
 			q.reqs = append(q.reqs[:i], q.reqs[i+1:]...)
 			s.nq--
-			s.recomputeOldestLocked()
 			return true
 		}
 	}
 	return false
-}
-
-// recomputeOldestLocked resets oldest to the earliest queued request
-// (queues are FIFO, so only heads matter).
-func (s *scheduler) recomputeOldestLocked() {
-	var oldest time.Time
-	for _, q := range s.tq { //spmvlint:unordered running min over enqueue times
-		if len(q.reqs) == 0 {
-			continue
-		}
-		if oldest.IsZero() || q.reqs[0].enq.Before(oldest) {
-			oldest = q.reqs[0].enq
-		}
-	}
-	s.oldest = oldest
 }
 
 func (s *scheduler) wakeRunner() {
@@ -321,48 +303,24 @@ func (s *scheduler) wakeRunner() {
 	}
 }
 
-// run is the engine-owning loop: park while the queues are empty, honor
-// the maxWait window while a partial batch ages, flush otherwise.
+// run is the engine-owning loop: flush whatever the fair assembler
+// takes while the queues are non-empty, park on wake while they are
+// empty, and exit once closed and drained.
 func (s *scheduler) run() {
 	defer s.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		s.mu.Lock()
-		n := s.nq
+		batch := s.takeBatchLocked()
 		closed := s.closed
-		wait := time.Duration(0)
-		// The flushable batch is what the fair assembler could take right
-		// now (homogeneous in direction), not the raw queue total: a full
-		// queue of mixed directions must not zero the wait, or a lone
-		// head request would flush sub-width with no window.
-		if n > 0 && s.eligibleWidthLocked() < s.opt.MaxBatch && !closed {
-			wait = s.opt.MaxWait - time.Since(s.oldest)
-		}
-		var batch []*request
-		if n > 0 && wait <= 0 {
-			batch = s.takeBatchLocked()
-		}
 		s.mu.Unlock()
 
 		switch {
 		case batch != nil:
 			s.flush(batch)
-		case n == 0 && closed:
+		case closed:
 			return
-		case n == 0:
+		default:
 			<-s.wake
-		default: // partial batch aging: wake early on a full batch or close
-			timer.Reset(wait)
-			select {
-			case <-s.wake:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-timer.C:
-			}
 		}
 	}
 }
@@ -386,32 +344,6 @@ func (s *scheduler) minPassLocked(d *bool) *tenantQueue {
 		}
 	}
 	return best
-}
-
-// eligibleWidthLocked reports how many requests the fair assembler
-// could flush right now: the direction is set by the request it would
-// serve first, and each tenant contributes its queue's prefix run of
-// that direction. Capped at MaxBatch — the width the next flush would
-// coalesce.
-func (s *scheduler) eligibleWidthLocked() int {
-	first := s.minPassLocked(nil)
-	if first == nil {
-		return 0
-	}
-	d := first.reqs[0].transpose
-	width := 0
-	for _, q := range s.tq { //spmvlint:unordered commutative count, capped at MaxBatch
-		for _, r := range q.reqs {
-			if r.transpose != d {
-				break
-			}
-			width++
-			if width >= s.opt.MaxBatch {
-				return width
-			}
-		}
-	}
-	return width
 }
 
 // popLocked removes q's head, advances the stride clock, and returns
@@ -447,7 +379,6 @@ func (s *scheduler) takeBatchLocked() []*request {
 		}
 		batch = append(batch, s.popLocked(q))
 	}
-	s.recomputeOldestLocked()
 	return batch
 }
 
@@ -482,7 +413,7 @@ func (s *scheduler) flush(batch []*request) {
 		}
 		if engOK {
 			// queue: the engine was busy with earlier flushes; assemble:
-			// MaxWait aging plus batch take and buffer prep; flush: the
+			// runner wake-up, batch take and buffer prep; flush: the
 			// engine multiply. The three sum to engEnd − enq exactly.
 			queue := avail.Sub(r.enq)
 			if queue < 0 {

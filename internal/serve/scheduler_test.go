@@ -50,21 +50,147 @@ func randVec(r *rand.Rand, n int) []float64 {
 	return x
 }
 
-// TestFlushOnMaxWaitSingleRequest: a lone request must not wait for
-// companions forever — the maxWait window flushes it as a batch of one.
-func TestFlushOnMaxWaitSingleRequest(t *testing.T) {
+// heldFlush is one flush as it reached a gated engine: the batch's
+// input vectors in batch order and its direction.
+type heldFlush struct {
+	xs        [][]float64
+	transpose bool
+}
+
+// gatedEngine wraps a scheduler's engine so a test can hold the runner
+// inside a flush. Every multiply reports itself on entered and then
+// blocks until the test lets it through — one flush per step, or every
+// flush once the gate is open. Requests submitted while the runner is
+// held queue up exactly as they would behind a slow multiply.
+type gatedEngine struct {
+	spmv.Multiplier
+	entered chan heldFlush
+	release chan struct{}
+	once    sync.Once
+}
+
+// gate installs a gated engine on an idle scheduler. Cleanup opens the
+// gate so the scheduler can drain and close.
+func gate(t *testing.T, s *scheduler) *gatedEngine {
+	t.Helper()
+	g := &gatedEngine{entered: make(chan heldFlush, 64), release: make(chan struct{})}
+	s.mu.Lock()
+	g.Multiplier = s.eng
+	s.eng = g
+	s.mu.Unlock()
+	t.Cleanup(g.open)
+	return g
+}
+
+// step lets exactly one held flush through.
+func (g *gatedEngine) step() { g.release <- struct{}{} }
+
+// open lets every held and future flush through.
+func (g *gatedEngine) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *gatedEngine) hold(xs [][]float64, transpose bool) {
+	g.entered <- heldFlush{xs: xs, transpose: transpose}
+	<-g.release
+}
+
+func (g *gatedEngine) Multiply(x, y []float64) error {
+	g.hold([][]float64{x}, false)
+	return g.Multiplier.Multiply(x, y)
+}
+
+func (g *gatedEngine) MultiplyTranspose(x, y []float64) error {
+	g.hold([][]float64{x}, true)
+	return g.Multiplier.MultiplyTranspose(x, y)
+}
+
+func (g *gatedEngine) MultiplyMulti(X, Y [][]float64) error {
+	g.hold(X, false)
+	return g.Multiplier.MultiplyMulti(X, Y)
+}
+
+func (g *gatedEngine) MultiplyTransposeMulti(X, Y [][]float64) error {
+	g.hold(X, true)
+	return g.Multiplier.MultiplyTransposeMulti(X, Y)
+}
+
+// holdRunner gates s and parks its runner inside the flush of one plug
+// request (the default tenant's zero vector), so everything submitted
+// afterwards queues behind a busy engine. The plug completes once the
+// gate lets its flush through; cleanup opens the gate and waits for it.
+// The plug counts in the scheduler's metrics as one request in one
+// batch.
+func holdRunner(t *testing.T, s *scheduler) *gatedEngine {
+	t.Helper()
+	g := gate(t, s)
+	plugDone := make(chan error, 1)
+	go func() {
+		_, err := s.submit(context.Background(), make([]float64, s.cols))
+		plugDone <- err
+	}()
+	if f := <-g.entered; len(f.xs) != 1 {
+		t.Fatalf("plug flushed at width %d, want 1", len(f.xs))
+	}
+	t.Cleanup(func() {
+		g.open()
+		if err := <-plugDone; err != nil {
+			t.Errorf("plug request: %v", err)
+		}
+	})
+	return g
+}
+
+// fillQueue holds s's runner and queues one live default-tenant
+// request behind it, so a pool with MaxQueue 1 sheds the next
+// submission at admission. Cleanup frees the engine and waits for the
+// occupant.
+func fillQueue(t *testing.T, s *scheduler) {
+	t.Helper()
+	g := holdRunner(t, s)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.submit(context.Background(), make([]float64, s.cols))
+		done <- err
+	}()
+	waitDepth(t, s, 1)
+	t.Cleanup(func() {
+		g.open()
+		if err := <-done; err != nil {
+			t.Errorf("queued occupant: %v", err)
+		}
+	})
+}
+
+// sameVectors reports whether got holds exactly the slices in want, in
+// order (identity, not value equality).
+func sameVectors(got, want [][]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if &got[i][0] != &want[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGroupCommitLoneRequestFlushesAlone: a lone request on an idle
+// scheduler flushes at once as exactly one width-1 batch — nothing
+// waits for companions that are not already queued.
+func TestGroupCommitLoneRequestFlushesAlone(t *testing.T) {
 	a := testMatrix(t, 12, 12)
-	s := newTestScheduler(t, a, Options{MaxBatch: 8, MaxWait: 5 * time.Millisecond})
+	s := newTestScheduler(t, a, Options{MaxBatch: 8})
+	g := gate(t, s)
+	g.open()
 	r := rand.New(rand.NewSource(3))
 	x := randVec(r, a.Cols)
 
-	t0 := time.Now()
 	y, err := s.submit(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(t0); elapsed > 2*time.Second {
-		t.Fatalf("single request took %v; maxWait flush broken", elapsed)
+	if f := <-g.entered; !sameVectors(f.xs, [][]float64{x}) || f.transpose {
+		t.Fatalf("lone request flushed as %d vectors (transpose %v), want itself alone", len(f.xs), f.transpose)
 	}
 	want := make([]float64, a.Rows)
 	a.MulVec(x, want)
@@ -79,17 +205,95 @@ func TestFlushOnMaxWaitSingleRequest(t *testing.T) {
 	}
 }
 
-// TestFlushOnExactMaxBatch: the batch must flush the moment maxBatch
-// requests accumulate, long before the (deliberately huge) maxWait.
+// TestGroupCommitCoalescesQueuedRequests: requests queued while a flush
+// holds the engine leave together in the next flush, min(N, MaxBatch)
+// wide, in stride order across tenants.
+func TestGroupCommitCoalescesQueuedRequests(t *testing.T) {
+	reg, err := NewTenantRegistry(
+		TenantSpec{Name: "a", Key: "ka", Weight: 2},
+		TenantSpec{Name: "b", Key: "kb", Weight: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta, _ := reg.Lookup("a")
+	tb, _ := reg.Lookup("b")
+	a := testMatrix(t, 12, 12)
+	r := rand.New(rand.NewSource(37))
+	vecs := func(n int) [][]float64 {
+		xs := make([][]float64, n)
+		for i := range xs {
+			xs[i] = randVec(r, a.Cols)
+		}
+		return xs
+	}
+	submitAsync := func(s *scheduler, tn *Tenant, xs [][]float64) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.submitBatch(context.Background(), tn, xs, false)
+			done <- err
+		}()
+		return done
+	}
+
+	t.Run("under MaxBatch", func(t *testing.T) {
+		s := newTestScheduler(t, a, Options{MaxBatch: 8, Tenants: reg})
+		g := holdRunner(t, s)
+		xs := vecs(5)
+		done := submitAsync(s, ta, xs)
+		waitDepth(t, s, len(xs))
+		g.open()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if f := <-g.entered; !sameVectors(f.xs, xs) {
+			t.Fatalf("next flush = %d vectors, want the 5 queued requests in FIFO order", len(f.xs))
+		}
+		if m := s.metrics(); m.Batches != 2 || m.Requests != 6 {
+			t.Fatalf("metrics = %+v, want the plug plus one batch of 5", m)
+		}
+	})
+
+	t.Run("over MaxBatch", func(t *testing.T) {
+		s := newTestScheduler(t, a, Options{MaxBatch: 8, Tenants: reg})
+		g := holdRunner(t, s)
+		xa, xb := vecs(8), vecs(8)
+		doneA := submitAsync(s, ta, xa)
+		waitDepth(t, s, len(xa))
+		doneB := submitAsync(s, tb, xb)
+		waitDepth(t, s, len(xa)+len(xb))
+		g.open()
+		if err := <-doneA; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-doneB; err != nil {
+			t.Fatal(err)
+		}
+		// Weight 2:1 from equal passes: a b a a b a a b.
+		want := [][]float64{xa[0], xb[0], xa[1], xa[2], xb[1], xa[3], xa[4], xb[2]}
+		if f := <-g.entered; !sameVectors(f.xs, want) {
+			t.Fatalf("next flush = %d vectors, want the 8-wide stride order a b a a b a a b", len(f.xs))
+		}
+		if f := <-g.entered; len(f.xs) != 8 {
+			t.Fatalf("remainder flushed at width %d, want 8", len(f.xs))
+		}
+		if m := s.metrics(); m.Batches != 3 || m.Requests != 17 {
+			t.Fatalf("metrics = %+v, want the plug plus two batches of 8", m)
+		}
+	})
+}
+
+// TestFlushOnExactMaxBatch: maxBatch requests queued behind a busy
+// engine flush as exactly one batch the moment the engine frees up.
 func TestFlushOnExactMaxBatch(t *testing.T) {
 	a := testMatrix(t, 12, 12)
 	const batch = 4
-	s := newTestScheduler(t, a, Options{MaxBatch: batch, MaxWait: time.Hour})
+	s := newTestScheduler(t, a, Options{MaxBatch: batch})
+	g := holdRunner(t, s)
 	r := rand.New(rand.NewSource(5))
 
 	var wg sync.WaitGroup
 	errs := make([]error, batch)
-	t0 := time.Now()
 	for i := 0; i < batch; i++ {
 		x := randVec(r, a.Cols)
 		wg.Add(1)
@@ -98,12 +302,15 @@ func TestFlushOnExactMaxBatch(t *testing.T) {
 			_, errs[i] = s.submit(context.Background(), x)
 		}(i)
 	}
+	waitDepth(t, s, batch)
+	t0 := time.Now()
+	g.open()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("maxBatch-full batch did not flush (stuck on maxWait)")
+		t.Fatal("maxBatch-full batch did not flush once the engine freed up")
 	}
 	if elapsed := time.Since(t0); elapsed > 10*time.Second {
 		t.Fatalf("full batch took %v", elapsed)
@@ -113,9 +320,12 @@ func TestFlushOnExactMaxBatch(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
+	if f := <-g.entered; len(f.xs) != batch {
+		t.Fatalf("queued requests flushed at width %d, want one batch of %d", len(f.xs), batch)
+	}
 	m := s.metrics()
-	if m.Requests != batch || m.Batches != 1 || m.MeanBatch != batch {
-		t.Fatalf("metrics = %+v, want one batch of %d", m, batch)
+	if m.Requests != batch+1 || m.Batches != 2 || m.QueueDepth != 0 {
+		t.Fatalf("metrics = %+v, want the plug plus one batch of %d", m, batch)
 	}
 }
 
@@ -139,7 +349,8 @@ func waitDepth(t *testing.T, s *scheduler, n int) {
 func TestContextCancelledMidBatch(t *testing.T) {
 	a := testMatrix(t, 12, 12)
 	const batch = 4
-	s := newTestScheduler(t, a, Options{MaxBatch: batch, MaxWait: time.Hour})
+	s := newTestScheduler(t, a, Options{MaxBatch: batch})
+	g := holdRunner(t, s)
 	r := rand.New(rand.NewSource(7))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -168,10 +379,10 @@ func TestContextCancelledMidBatch(t *testing.T) {
 	}
 	sub(0)
 	sub(1)
-	waitDepth(t, s, 3) // A (cancellable) + two batchmates, one short of a flush
+	waitDepth(t, s, 3) // A (cancellable) + two batchmates, behind the plug
 
-	// Cancel the first request: it leaves the queue immediately, so the
-	// batch is further from full and the batchmates keep waiting.
+	// Cancel the first request: it leaves the queue immediately, so it
+	// never widens the batch and the batchmates keep waiting.
 	cancel()
 	if err := <-cancelledErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled request returned %v, want context.Canceled", err)
@@ -180,9 +391,11 @@ func TestContextCancelledMidBatch(t *testing.T) {
 		t.Fatalf("queue depth after cancel = %d, want 2", d)
 	}
 
-	// Two fresh requests fill the batch and trigger the flush.
+	// Two fresh requests fill the batch; freeing the engine flushes it.
 	sub(2)
 	sub(3)
+	waitDepth(t, s, 4)
+	g.open()
 
 	want := make([]float64, a.Rows)
 	check := func(x, y []float64) {
@@ -206,8 +419,11 @@ func TestContextCancelledMidBatch(t *testing.T) {
 	if m.Cancelled != 1 {
 		t.Fatalf("cancelled = %d, want 1", m.Cancelled)
 	}
-	if m.Requests != 4 || m.Batches != 1 {
-		t.Fatalf("metrics = %+v, want one batch of 4 live requests", m)
+	if f := <-g.entered; len(f.xs) != 4 {
+		t.Fatalf("batchmates flushed at width %d, want 4", len(f.xs))
+	}
+	if m.Requests != 4+1 || m.Batches != 1+1 {
+		t.Fatalf("metrics = %+v, want the plug plus one batch of 4 live requests", m)
 	}
 }
 
@@ -218,7 +434,7 @@ func TestContextCancelledMidBatch(t *testing.T) {
 // that submit never returns while a flush still reads x.
 func TestCancelStormNoRace(t *testing.T) {
 	a := testMatrix(t, 20, 20)
-	s := newTestScheduler(t, a, Options{MaxBatch: 4, MaxWait: 100 * time.Microsecond})
+	s := newTestScheduler(t, a, Options{MaxBatch: 4})
 
 	const clients = 16
 	var wg sync.WaitGroup
@@ -250,7 +466,8 @@ func TestCancelStormNoRace(t *testing.T) {
 // MaxQueue with a typed overload error, without blocking.
 func TestSubmitOverload(t *testing.T) {
 	a := testMatrix(t, 12, 12)
-	s := newTestScheduler(t, a, Options{MaxBatch: 64, MaxWait: time.Hour, MaxQueue: 2})
+	s := newTestScheduler(t, a, Options{MaxBatch: 64, MaxQueue: 2})
+	holdRunner(t, s)
 	r := rand.New(rand.NewSource(11))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -315,7 +532,7 @@ func TestCoalescedBitwiseEqualsSolo(t *testing.T) {
 			solo := buildEngine(t, a, name, k, seed)
 			defer solo.Close()
 			s := newScheduler(buildEngine(t, a, name, k, seed), a.Rows, a.Cols,
-				Options{MaxBatch: 8, MaxWait: 2 * time.Millisecond}.withDefaults(), EngineKey{}, "", nil, nil)
+				Options{MaxBatch: 8}.withDefaults(), EngineKey{}, "", nil, nil)
 			defer s.close()
 
 			r := rand.New(rand.NewSource(17))
@@ -386,7 +603,7 @@ func TestCoalescingThroughputUnderLoad(t *testing.T) {
 	})
 
 	s := newScheduler(buildEngine(t, a, "s2d", 4, 1), a.Rows, a.Cols,
-		Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond}.withDefaults(), EngineKey{}, "", nil, nil)
+		Options{MaxBatch: 8}.withDefaults(), EngineKey{}, "", nil, nil)
 	defer s.close()
 	coalescedOps := loadLoop(clients, duration, func(c int) {
 		if _, err := s.submit(context.Background(), xs[c]); err != nil {
@@ -432,12 +649,12 @@ func loadLoop(clients int, d time.Duration, op func(c int)) int {
 	return total
 }
 
-// TestSchedulerManyBatches drives enough sequential traffic through a
-// small-batch scheduler to exercise the window-restart path (requests
-// left over after a full flush start a fresh maxWait window).
+// TestSchedulerManyBatches drives enough concurrent traffic through a
+// small-batch scheduler that the queue outlasts many flushes (requests
+// left over after a full flush go out with the next one).
 func TestSchedulerManyBatches(t *testing.T) {
 	a := testMatrix(t, 10, 10)
-	s := newTestScheduler(t, a, Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := newTestScheduler(t, a, Options{MaxBatch: 2})
 	r := rand.New(rand.NewSource(23))
 
 	const n = 40
@@ -477,7 +694,7 @@ func TestCoalescedTransposeBitwiseEqualsSolo(t *testing.T) {
 			solo := buildEngine(t, a, name, k, seed)
 			defer solo.Close()
 			s := newScheduler(buildEngine(t, a, name, k, seed), a.Rows, a.Cols,
-				Options{MaxBatch: 8, MaxWait: 2 * time.Millisecond}.withDefaults(), EngineKey{}, "", nil, nil)
+				Options{MaxBatch: 8}.withDefaults(), EngineKey{}, "", nil, nil)
 			defer s.close()
 
 			r := rand.New(rand.NewSource(29))
@@ -546,47 +763,43 @@ func TestSubmitTransposeDimensionError(t *testing.T) {
 	}
 }
 
-// TestMixedDirectionQueueHonorsWaitWindow pins the wait-window rule
-// under mixed traffic: the flushable batch is the homogeneous head run,
-// so a lone forward request in front of a queue of transpose requests
-// must keep aging its MaxWait window — total queue length alone must
-// not trigger an immediate sub-width flush.
-func TestMixedDirectionQueueHonorsWaitWindow(t *testing.T) {
+// TestGroupCommitMixedDirectionHeadRunFirst: flushes stay homogeneous
+// in direction. A lone forward request at the head of a queue of
+// transpose requests flushes by itself the moment the engine frees up,
+// and the transpose run flushes next.
+func TestGroupCommitMixedDirectionHeadRunFirst(t *testing.T) {
 	a := testMatrix(t, 12, 12)
-	s := newTestScheduler(t, a, Options{MaxBatch: 2, MaxWait: time.Hour})
+	s := newTestScheduler(t, a, Options{MaxBatch: 2})
+	g := holdRunner(t, s)
 	r := rand.New(rand.NewSource(31))
 
 	fx := randVec(r, a.Cols)
-	tx := [2][]float64{randVec(r, a.Rows), randVec(r, a.Rows)}
+	tx := [][]float64{randVec(r, a.Rows), randVec(r, a.Rows)}
 	results := make(chan error, 3)
 	go func() {
 		_, err := s.submit(context.Background(), fx)
 		results <- err
 	}()
 	waitDepth(t, s, 1)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			_, err := s.submitT(context.Background(), tx[i])
-			results <- err
-		}(i)
-	}
+	go func() {
+		_, err := s.submitBatch(context.Background(), nil, tx, true)
+		results <- err
+	}()
 	waitDepth(t, s, 3)
 
-	// Queue length (3) exceeds MaxBatch (2), but the head run is a single
-	// forward request: nothing may flush while its hour-long window ages.
-	time.Sleep(50 * time.Millisecond)
-	if m := s.metrics(); m.Batches != 0 || m.QueueDepth != 3 {
-		t.Fatalf("metrics = %+v, want 3 queued and no premature flush", m)
-	}
-
-	// close drains the queue: every request completes without error.
-	s.close()
-	for i := 0; i < 3; i++ {
+	g.open()
+	for i := 0; i < 2; i++ {
 		if err := <-results; err != nil {
-			t.Fatalf("drained request: %v", err)
+			t.Fatalf("queued request: %v", err)
 		}
 	}
-	if m := s.metrics(); m.Requests != 3 {
-		t.Fatalf("requests = %d, want 3 after drain", m.Requests)
+	if f := <-g.entered; f.transpose || !sameVectors(f.xs, [][]float64{fx}) {
+		t.Fatalf("first flush = %d vectors (transpose %v), want the lone forward head", len(f.xs), f.transpose)
+	}
+	if f := <-g.entered; !f.transpose || !sameVectors(f.xs, tx) {
+		t.Fatalf("second flush = %d vectors (transpose %v), want the transpose run", len(f.xs), f.transpose)
+	}
+	if m := s.metrics(); m.Requests != 3+1 || m.Batches != 2+1 || m.QueueDepth != 0 {
+		t.Fatalf("metrics = %+v, want the plug plus flushes of 1 and 2", m)
 	}
 }

@@ -10,12 +10,14 @@
 //     reference-counted by Acquire/Release, and idle engines evict LRU
 //     when the pool exceeds its cap — each engine keeps its K persistent
 //     workers parked between requests, so a cache hit costs nothing.
-//   - scheduler: a request-coalescing batcher per engine. Concurrent
-//     Multiply submissions queue and flush as one MultiplyBlock call
-//     when either MaxBatch vectors accumulate or the MaxWait window
-//     expires; results demultiplex back to callers bit-identical to a
-//     solo Multiply (the block kernels accumulate each column in the
-//     scalar kernels' exact nonzero order).
+//   - scheduler: a request-coalescing batcher per engine, by group
+//     commit. The runner flushes whatever is queued (up to MaxBatch
+//     vectors) the moment the engine is free, so requests that arrive
+//     during a flush leave together as one MultiplyBlock call and a
+//     lone request never waits for company; results demultiplex back
+//     to callers bit-identical to a solo Multiply (the block kernels
+//     accumulate each column in the scalar kernels' exact nonzero
+//     order).
 //   - admission control: per-tenant bounded queues on every engine with
 //     typed overload errors (*OverloadError, per-tenant 429 over HTTP),
 //     weighted-fair flush ordering across tenants (stride scheduling),
@@ -46,11 +48,9 @@ import (
 // Options configures a Pool and the schedulers it creates.
 type Options struct {
 	// MaxBatch is the widest SpMM batch one flush may coalesce
-	// (default 8).
+	// (default 8). Flushes never wait for a batch to fill: each takes
+	// up to MaxBatch of the requests queued when the engine frees up.
 	MaxBatch int
-	// MaxWait is how long the first queued request may wait for
-	// companions before the batch flushes anyway (default 200µs).
-	MaxWait time.Duration
 	// MaxQueue bounds the per-engine queue depth; submissions beyond it
 	// fail fast with *OverloadError (default 1024).
 	MaxQueue int
@@ -107,9 +107,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 200 * time.Microsecond
 	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 1024

@@ -706,6 +706,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 const (
 	CodeBadRequest      = "bad_request"       // 400: malformed body/frame/params
 	CodeBadDimension    = "bad_dimension"     // 400: vector does not match matrix
+	CodeBadK            = "bad_k"             // 400: K outside [1, min(rows, cols)]
 	CodeUnauthorized    = "unauthorized"      // 401: missing/unknown API key
 	CodeUnknownMatrix   = "unknown_matrix"    // 404
 	CodeUnknownMethod   = "unknown_method"    // 404
@@ -772,6 +773,7 @@ func writeError(w http.ResponseWriter, err error) {
 		pinned      *PinnedMatrixError
 		dup         *DuplicateMatrixError
 		dim         *DimensionError
+		partCount   *PartCountError
 		quarantined *QuarantinedError
 		tooBig      *http.MaxBytesError
 	)
@@ -802,6 +804,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status, env.Code = http.StatusConflict, CodeConflict
 	case errors.As(err, &dim):
 		status, env.Code = http.StatusBadRequest, CodeBadDimension
+	case errors.As(err, &partCount):
+		status, env.Code = http.StatusBadRequest, CodeBadK
 	case errors.As(err, &tooBig):
 		status, env.Code = http.StatusRequestEntityTooLarge, CodePayloadTooLarge
 		env.Error = fmt.Sprintf("serve: request body exceeds the %d-byte limit", tooBig.Limit)

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/sparse"
 )
@@ -252,28 +251,20 @@ func TestHTTPUpload(t *testing.T) {
 }
 
 func TestHTTPOverload(t *testing.T) {
-	p := NewPool(Options{Seed: 1, MaxQueue: 1, MaxBatch: 64, MaxWait: time.Hour})
+	p := NewPool(Options{Seed: 1, MaxQueue: 1, MaxBatch: 64})
 	t.Cleanup(p.Close)
 	if err := p.AddMatrix("lap", testMatrix(t, 10, 10)); err != nil {
 		t.Fatal(err)
 	}
-	// Pin the queue: acquire the engine directly and stuff its queue so
-	// the HTTP request hits admission control.
+	// Pin the queue: acquire the engine directly, hold its runner inside
+	// a flush and queue one request behind it, so the HTTP request hits
+	// admission control.
 	h, err := p.Acquire("lap", "s2d", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Release()
-	s := h.e.sched
-	tn := p.Tenants().Default()
-	s.mu.Lock()
-	// Synthetic occupant with a fresh window: the runner sits out MaxWait
-	// (an hour), so the next submission must hit admission control.
-	s.oldest = time.Now()
-	q := s.queueForLocked(tn)
-	q.reqs = append(q.reqs, &request{tn: tn, done: make(chan struct{}), enq: s.oldest})
-	s.nq++
-	s.mu.Unlock()
+	t.Cleanup(h.Release)
+	fillQueue(t, h.e.sched)
 
 	ts := httptest.NewServer(NewServer(p))
 	t.Cleanup(ts.Close)
@@ -283,11 +274,6 @@ func TestHTTPOverload(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", resp.StatusCode, body)
 	}
-	// Unstuff so close() can drain.
-	s.mu.Lock()
-	s.tq = make(map[*Tenant]*tenantQueue)
-	s.nq = 0
-	s.mu.Unlock()
 }
 
 // tallTestMatrix registers a rectangular (tall) constraint-style matrix.

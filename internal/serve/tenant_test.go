@@ -104,7 +104,7 @@ func TestStrideBatchAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := testMatrix(t, 12, 12)
-	s := newTestScheduler(t, a, Options{MaxBatch: 8, MaxWait: time.Hour, Tenants: reg})
+	s := newTestScheduler(t, a, Options{MaxBatch: 8, Tenants: reg})
 
 	ta, _ := reg.Lookup("a")
 	tb, _ := reg.Lookup("b")
@@ -144,11 +144,12 @@ func TestTenantQuotaIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := testMatrix(t, 10, 10)
-	s := newTestScheduler(t, a, Options{MaxBatch: 64, MaxWait: time.Hour, MaxQueue: 16, Tenants: reg})
+	s := newTestScheduler(t, a, Options{MaxBatch: 64, MaxQueue: 16, Tenants: reg})
+	g := holdRunner(t, s)
 	hot, _ := reg.Lookup("hot")
 	light, _ := reg.Lookup("light")
 
-	// Fill hot's quota with live submissions parked in the wait window.
+	// Fill hot's quota with live submissions queued behind the held flush.
 	var wg sync.WaitGroup
 	x := make([]float64, a.Cols)
 	for i := 0; i < 2; i++ {
@@ -172,16 +173,15 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	}
 
 	// The light tenant admits and completes despite hot's full queue: its
-	// submission joins the aging batch, and a full-width wake is not
-	// needed because its own arrival re-arms admission + the window.
+	// submission queues beside hot's and leaves with the next flush.
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.submitOne(context.Background(), light, x, false)
 		done <- err
 	}()
 	waitDepth(t, s, 3)
-	// Nothing flushed yet (MaxWait is an hour): force one by closing.
-	s.close()
+	// Nothing flushed yet (the engine is held): free it.
+	g.open()
 	if err := <-done; err != nil {
 		t.Fatalf("light tenant: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestTenantQuotaIsolation(t *testing.T) {
 // rejects as a unit — no partial enqueue.
 func TestSubmitBatchAtomicAdmission(t *testing.T) {
 	a := testMatrix(t, 10, 10)
-	s := newTestScheduler(t, a, Options{MaxBatch: 64, MaxWait: time.Millisecond, MaxQueue: 4})
+	s := newTestScheduler(t, a, Options{MaxBatch: 64, MaxQueue: 4})
 	xs := make([][]float64, 5)
 	for i := range xs {
 		xs[i] = make([]float64, a.Cols)
