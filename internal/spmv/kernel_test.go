@@ -108,6 +108,49 @@ func compareVec(t *testing.T, label string, got, want []float64, ulpTol uint64) 
 	}
 }
 
+// equivFixture is one seeded matrix with forward and transpose inputs
+// wide enough for the widest sweep width.
+type equivFixture struct {
+	a     *sparse.CSR
+	x, xt []float64
+}
+
+// equivFixtures draws the seeded rectangular and square fixtures the
+// backend-equivalence and pinned-bits tests share.
+func equivFixtures() (rect, square equivFixture) {
+	r := rand.New(rand.NewSource(42))
+	maxW := kernelWidths[len(kernelWidths)-1]
+	rect = equivFixture{a: randomMatrix(r, 150, 110, 1700)}
+	rect.x = randomVector(r, rect.a.Cols*maxW)
+	rect.xt = randomVector(r, rect.a.Rows*maxW)
+	square = equivFixture{a: randomMatrix(r, 130, 130, 1700)}
+	square.x = randomVector(r, square.a.Cols*maxW)
+	square.xt = randomVector(r, square.a.Rows*maxW)
+	return rect, square
+}
+
+// equivEngine builds the named method on the rectangular fixture — or,
+// for registry methods (reordering-based) that only accept square
+// matrices, on the square one — and returns its engine, closed at
+// cleanup, with the fixture it runs on.
+func equivEngine(t *testing.T, name string, k int, opt method.Options, rect, square equivFixture) (Multiplier, equivFixture) {
+	t.Helper()
+	fx := rect
+	b, err := method.BuildByName(name, fx.a, k, opt)
+	if err != nil {
+		fx = square
+		if b, err = method.BuildByName(name, fx.a, k, opt); err != nil {
+			t.Fatalf("build: %v", err)
+		}
+	}
+	eng, err := New(b)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	t.Cleanup(eng.Close)
+	return eng, fx
+}
+
 // TestKernelBackendEquivalence is the exhaustive backend contract:
 // every kernel backend, on every registry method's build, at K ∈ {4,16}
 // and nrhs ∈ {1,2,3,4,5,8,9}, must reproduce the scalar reference on
@@ -115,39 +158,13 @@ func compareVec(t *testing.T, label string, got, want []float64, ulpTol uint64) 
 // ulp-close for relaxed. The matrix is rectangular so a transposed
 // dimension mix-up cannot cancel out.
 func TestKernelBackendEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	maxW := kernelWidths[len(kernelWidths)-1]
-	type fixture struct {
-		a     *sparse.CSR
-		x, xt []float64
-	}
-	rect := fixture{a: randomMatrix(r, 150, 110, 1700)}
-	rect.x = randomVector(r, rect.a.Cols*maxW)
-	rect.xt = randomVector(r, rect.a.Rows*maxW)
-	// Some registry methods (reordering-based) only accept square
-	// matrices; they run on the square fixture instead.
-	square := fixture{a: randomMatrix(r, 130, 130, 1700)}
-	square.x = randomVector(r, square.a.Cols*maxW)
-	square.xt = randomVector(r, square.a.Rows*maxW)
-
+	rect, square := equivFixtures()
 	for _, k := range []int{4, 16} {
 		opt := method.Options{Seed: 7, Pipeline: method.NewPipeline()}
 		for _, name := range method.Names() {
 			t.Run(fmt.Sprintf("%s/K=%d", name, k), func(t *testing.T) {
-				fx := rect
-				b, err := method.BuildByName(name, fx.a, k, opt)
-				if err != nil {
-					fx = square
-					if b, err = method.BuildByName(name, fx.a, k, opt); err != nil {
-						t.Fatalf("build: %v", err)
-					}
-				}
+				eng, fx := equivEngine(t, name, k, opt, rect, square)
 				a, X, XT := fx.a, fx.x, fx.xt
-				eng, err := New(b)
-				if err != nil {
-					t.Fatalf("engine: %v", err)
-				}
-				t.Cleanup(eng.Close)
 				ref := runKernelSurfaces(t, eng, "scalar", a, X, XT)
 				for _, kern := range KernelNames() {
 					if kern == "scalar" {
