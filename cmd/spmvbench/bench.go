@@ -168,7 +168,6 @@ func runJSONBench(w io.Writer, cfg harness.Config, methods []string, nrhsList []
 				default:
 					kernelKey = sel
 					tune.Force = sel
-					tune.RelaxedFP = sel == "relaxed"
 				}
 				rep, err := eng.Autotune(tune)
 				if err != nil {

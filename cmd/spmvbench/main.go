@@ -55,7 +55,7 @@ func main() {
 		"with -json, additionally benchmark the transpose kernels (y <- A'x)")
 	kernelSel := flag.String("kernels", "",
 		"with -json, comma-separated kernel selectors to sweep: backend names "+
-			"(scalar,reg,sorted,sortedreg,relaxed) and/or 'auto' (plan-time autotuner); "+
+			"(scalar,reg) and/or 'auto' (plan-time autotuner); "+
 			"empty = scalar only")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()

@@ -96,7 +96,7 @@ func main() {
 	maxQueue := flag.Int("maxqueue", 1024, "per-engine queue depth bound (admission control)")
 	maxEngines := flag.Int("maxengines", 8, "resident engine cap (idle LRU eviction above it)")
 	forceKernel := flag.String("forcekernel", "",
-		"pin one spmv kernel backend on every engine (scalar,reg,sorted,sortedreg); empty autotunes per engine")
+		"pin one spmv kernel backend on every engine (scalar,reg); empty autotunes per engine")
 	defMethod := flag.String("method", "s2d", "default partitioning method for requests that omit one")
 	defK := flag.Int("k", 4, "default part count for requests that omit one")
 	tenantsPath := flag.String("tenants", "",

@@ -49,17 +49,11 @@ type Options struct {
 	// per-level quality, a fraction of the cost. Leave nil for builds
 	// that must match the direct constructors bit for bit.
 	Ks []int
-	// ForceKernel names one spmv kernel backend ("scalar", "reg",
-	// "sorted", "sortedreg", "relaxed") to install for every width class
-	// instead of autotuning. Empty lets the tuner decide. Only consumed
-	// by engine-building layers (spmv.NewTuned, the serve pool);
-	// partitioning is unaffected.
+	// ForceKernel names one spmv kernel backend ("scalar" or "reg") to
+	// install for every width class instead of autotuning. Empty lets
+	// the tuner decide. Only consumed by engine-building layers
+	// (spmv.NewTuned, the serve pool); partitioning is unaffected.
 	ForceKernel string
-	// RelaxedFP admits the relaxed multi-accumulator kernels as autotune
-	// candidates. Their results are only ulp-close to the scalar
-	// reference, so this must stay false anywhere bitwise reproducibility
-	// is part of the contract.
-	RelaxedFP bool
 }
 
 // Build is the product of a method: the data distribution plus, for

@@ -82,6 +82,10 @@ type ChaosReport struct {
 	BreakerTrips    int `json:"breaker_trips"`
 	Recoveries      int `json:"recoveries"` // tripped engines serving bit-identical again
 
+	// Unfired lists scheduled faults the load phase never reached; any
+	// entry fails the run (it would otherwise land in the drain phase).
+	Unfired []string `json:"unfired,omitempty"`
+
 	DrainInFlight  int     `json:"drain_in_flight"` // requests in flight when drain began
 	DrainCompleted int     `json:"drain_completed"` // of those, completed with 200
 	DrainSec       float64 `json:"drain_sec"`
@@ -110,6 +114,9 @@ func (r *ChaosReport) Validate(maxDrain time.Duration) error {
 	}
 	if r.RebuildFailures < 1 {
 		problems = append(problems, "injected rebuild failure never fired")
+	}
+	if len(r.Unfired) > 0 {
+		problems = append(problems, "scheduled faults never fired in the load phase: "+strings.Join(r.Unfired, ", "))
 	}
 	if r.Quarantines < 1 {
 		problems = append(problems, "no engine was quarantined")
@@ -210,9 +217,18 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// maxLoadFactor bounds ChaosRun's load phase at this multiple of
+// Duration. The default schedule's flush.nan@1500 needs ~10 s of load on
+// a 2-vCPU host (~150 flushes/s), 5× the CI Duration of 2 s.
+const maxLoadFactor = 10
+
 // ChaosRun executes the load phase of a chaos run: Clients concurrent
 // clients hammer /v1/multiply across the configured methods while the
-// armed injector crashes workers and rebuilds; every 200 is compared
+// armed injector crashes workers and rebuilds. The load runs for
+// Duration and then on, up to maxLoadFactor×Duration, until every
+// scheduled fault has fired — a count-based fault must never land in
+// the drain phase; faults still unfired at the bound are reported and
+// fail Validate. Every 200 is compared
 // bitwise against the idle-server reference, sheds retry with jittered
 // backoff honoring Retry-After, and after the window every tripped
 // engine must serve the reference payload again. The drain phase is
@@ -251,9 +267,13 @@ func ChaosRun(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		firstErr                             string
 	}
 	totals := make([]clientTotals, cfg.Clients)
-	deadline := time.Now().Add(cfg.Duration)
-	var wg sync.WaitGroup
 	t0 := time.Now()
+	deadline, hardStop := t0.Add(cfg.Duration), t0.Add(maxLoadFactor*cfg.Duration)
+	loadDone := func() bool {
+		now := time.Now()
+		return !now.Before(hardStop) || (!now.Before(deadline) && len(cfg.Injector.Unfired()) == 0)
+	}
+	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -262,7 +282,7 @@ func ChaosRun(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			crng := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
 			tot := &totals[c]
 			backoff := time.Duration(0)
-			for time.Now().Before(deadline) && ctx.Err() == nil {
+			for !loadDone() && ctx.Err() == nil {
 				status, y, hint, err := chaosPost(ctx, cfg, bodies[mi])
 				switch {
 				case err != nil:
@@ -313,6 +333,7 @@ func ChaosRun(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	// Injector + pool counters.
+	rep.Unfired = cfg.Injector.Unfired()
 	rep.WorkerPanics = cfg.Injector.Fired("worker.panic")
 	rep.RebuildFailures = cfg.Injector.Fired("build.fail")
 	rep.NaNCorruptions = cfg.Injector.Fired("flush.nan")

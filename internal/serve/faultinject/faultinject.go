@@ -125,6 +125,31 @@ func (inj *Injector) Fired(point string) int {
 	return inj.fired[point]
 }
 
+// Unfired lists the scheduled rules whose firing hits have not all been
+// reached yet, as point@nth[xcount] terms in point order. A nil
+// injector has none.
+func (inj *Injector) Unfired() []string {
+	if inj == nil {
+		return nil
+	}
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	points := make([]string, 0, len(inj.rules))
+	for p := range inj.rules {
+		points = append(points, p)
+	}
+	sort.Strings(points)
+	var out []string
+	for _, p := range points {
+		for _, r := range inj.rules[p] {
+			if inj.hits[p] < r.Nth+r.Count-1 {
+				out = append(out, fmt.Sprintf("%s@%dx%d", p, r.Nth, r.Count))
+			}
+		}
+	}
+	return out
+}
+
 // Stats summarizes every point that was reached, for chaos reports.
 func (inj *Injector) Stats() map[string][2]int {
 	if inj == nil {

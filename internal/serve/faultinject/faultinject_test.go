@@ -52,3 +52,25 @@ func TestParseSchedule(t *testing.T) {
 		}
 	}
 }
+
+func TestUnfiredUntilEveryScheduledHit(t *testing.T) {
+	inj := New(Rule{Point: "flush.nan", Nth: 2}, Rule{Point: "build.fail", Nth: 1, Count: 2})
+	want := []string{"build.fail@1x2", "flush.nan@2x1"}
+	if got := inj.Unfired(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Unfired() = %v, want %v", got, want)
+	}
+	inj.Fire("build.fail")
+	inj.Fire("flush.nan")
+	inj.Fire("flush.nan")
+	if got := inj.Unfired(); len(got) != 1 || got[0] != "build.fail@1x2" {
+		t.Fatalf("Unfired() = %v, want [build.fail@1x2]: a ranged rule is pending until its last hit", got)
+	}
+	inj.Fire("build.fail")
+	if got := inj.Unfired(); len(got) != 0 {
+		t.Fatalf("Unfired() = %v after every scheduled hit", got)
+	}
+	var none *Injector
+	if got := none.Unfired(); got != nil {
+		t.Fatalf("nil injector Unfired() = %v", got)
+	}
+}

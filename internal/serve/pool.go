@@ -337,16 +337,11 @@ func (p *Pool) build(e *poolEntry, a *sparse.CSR, methodName string, k int) {
 	}
 	// Kernel selection runs before the fault hook arms: the tuner's probe
 	// multiplies must not consume count-based chaos schedules aimed at
-	// real traffic. RelaxedFP stays false — serving results are
-	// contractually bit-identical to a solo engine, and every non-relaxed
-	// backend preserves that bit for bit.
+	// real traffic. Every backend is bitwise identical to scalar, so
+	// serving results stay bit-identical to a solo engine whatever wins.
 	tune := spmv.TuneConfig{Force: p.opt.ForceKernel}
 	if tune.Force == "" {
 		tune.Cache = p.pipeline.KernelCache(a, methodName, k, p.opt.Seed, p.opt.Epsilon)
-	} else if tune.Force == "relaxed" {
-		eng.Close()
-		e.err = fmt.Errorf("serve: build %s: kernel %q is excluded from the bit-identical serving path", e.key, tune.Force)
-		return
 	}
 	rep, err := eng.Autotune(tune)
 	if err != nil {
@@ -478,7 +473,7 @@ func (p *Pool) evictLocked() []*poolEntry {
 
 // EngineMetrics is one resident engine's snapshot. Kernel is the
 // per-width-class kernel selection the engine runs ("nrhs:backend"
-// pairs, e.g. "0:scalar 1:scalar 2:reg 4:reg 8:sortedreg").
+// pairs, e.g. "0:scalar 1:scalar 2:reg 4:reg 8:reg").
 type EngineMetrics struct {
 	EngineKey
 	Schedule string `json:"schedule"`

@@ -513,31 +513,22 @@ func (s *scheduler) multiply(batch []*request, ft *flushTiming) (err error, faul
 	if transpose {
 		outLen = s.cols
 	}
-	if len(batch) == 1 {
-		batch[0].y = make([]float64, outLen)
-		ft.engStart = time.Now()
-		if transpose {
-			err = s.eng.MultiplyTranspose(batch[0].x, batch[0].y)
-		} else {
-			err = s.eng.Multiply(batch[0].x, batch[0].y)
-		}
-		ft.engEnd = time.Now()
-	} else {
-		X := make([][]float64, len(batch))
-		Y := make([][]float64, len(batch))
-		for i, r := range batch {
-			r.y = make([]float64, outLen)
-			X[i] = r.x
-			Y[i] = r.y
-		}
-		ft.engStart = time.Now()
-		if transpose {
-			err = s.eng.MultiplyTransposeMulti(X, Y)
-		} else {
-			err = s.eng.MultiplyMulti(X, Y)
-		}
-		ft.engEnd = time.Now()
+	// A lone request is a width-1 batch: the engine runs it on the
+	// vectors themselves, at Multiply's cost.
+	X := make([][]float64, len(batch))
+	Y := make([][]float64, len(batch))
+	for i, r := range batch {
+		r.y = make([]float64, outLen)
+		X[i] = r.x
+		Y[i] = r.y
 	}
+	ft.engStart = time.Now()
+	if transpose {
+		err = s.eng.MultiplyTransposeMulti(X, Y)
+	} else {
+		err = s.eng.MultiplyMulti(X, Y)
+	}
+	ft.engEnd = time.Now()
 	if err != nil {
 		var fe *spmv.EngineFaultError
 		return err, errors.As(err, &fe)

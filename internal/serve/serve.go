@@ -98,9 +98,7 @@ type Options struct {
 	// pooled engine instead of autotuning ("scalar" pins the reference
 	// kernels). Empty autotunes each engine at build time; the verdicts
 	// memoize in the pool's pipeline, so a rebuilt engine reinstalls the
-	// original selection without re-probing. The relaxed backend is never
-	// admitted here: serving results are contractually bit-identical to a
-	// solo engine.
+	// original selection without re-probing.
 	ForceKernel string
 }
 

@@ -1,14 +1,15 @@
 package spmv
 
 // Plan-time autotuner. At build time (spmv.NewTuned, or explicitly via
-// Engine.Autotune) the engine probes every candidate (layout ×
-// width-class) kernel backend on its own compiled arenas — the real
-// packets, the real schedule, deterministic synthetic vectors — and
-// installs the per-width-class winner. Probing uses a fixed repetition
-// count and takes the minimum over a fixed number of rounds; a
-// specialized backend must beat scalar by a hysteresis margin or scalar
-// stays, so noise cannot flip a near-tie away from the reference
-// kernels.
+// Engine.Autotune) the engine probes the scalar and reg kernel backends
+// at every register-blocked width class (2, 4, 8) on its own compiled
+// plan — the real packets, the real schedule, deterministic synthetic
+// vectors — and installs the per-width-class winner. The generic and
+// single-vector classes have one candidate (scalar) and are set without
+// probing. Probing uses a fixed repetition count and takes the minimum
+// over a fixed number of rounds; reg must beat scalar by a hysteresis
+// margin or scalar stays, so noise cannot flip a near-tie away from the
+// reference kernels.
 //
 // Wall-clock timing is inherently machine-dependent, so cross-build
 // determinism comes from the cache, not the stopwatch: when a
@@ -28,17 +29,12 @@ import (
 
 // TuneConfig configures one Autotune run.
 type TuneConfig struct {
-	// Widths lists the nrhs width classes to tune (0 tunes the generic
-	// class, probed at nrhs=3). Nil tunes every class.
+	// Widths lists the nrhs width classes to tune (0 names the generic
+	// class). Nil tunes every class.
 	Widths []int
 	// Force installs the named backend for every width class without
 	// probing; unknown names error.
 	Force string
-	// RelaxedFP admits the relaxed multi-accumulator backend as a
-	// candidate. Off by default: relaxed results are only ulp-close to
-	// scalar, so it must never win a probe unless the caller explicitly
-	// opted out of bitwise reproducibility.
-	RelaxedFP bool
 	// Cache memoizes decisions across engine builds (see KernelCache);
 	// nil probes every time.
 	Cache KernelCache
@@ -58,7 +54,8 @@ type KernelChoice struct {
 	NRHS   int    `json:"nrhs"`
 	Kernel string `json:"kernel"`
 	// Source says how the choice was made: "default" (never tuned),
-	// "probed", "cached", or "forced".
+	// "fixed" (a single-candidate class, set without probing), "probed",
+	// "cached", or "forced".
 	Source string `json:"source"`
 	// ProbesNs holds the best probe time per candidate when Source is
 	// "probed".
@@ -89,7 +86,7 @@ func (r KernelReport) For(nrhs int) string {
 
 // String renders the selection compactly, one "nrhs:kernel" pair per
 // width class (0 is the generic class), e.g. "0:scalar 1:scalar 2:reg
-// 4:reg 8:sortedreg".
+// 4:reg 8:reg".
 func (r KernelReport) String() string {
 	parts := make([]string, 0, len(r.Choices))
 	for _, ch := range r.Choices {
@@ -99,66 +96,34 @@ func (r KernelReport) String() string {
 }
 
 // Probe shape: fixed warmup and repetition counts, minimum over rounds.
-// The generic class has no width of its own, so it probes at nrhs=3.
 const (
-	tuneWarmups       = 1
-	tuneRounds        = 3
-	tuneInner         = 2
-	genericProbeWidth = 3
+	tuneWarmups = 1
+	tuneRounds  = 3
+	tuneInner   = 2
 	// tuneHysteresis: a candidate must run in under this fraction of the
 	// scalar time to displace it.
 	tuneHysteresis = 0.98
 )
-
-// tunable is the engine surface autotune drives; Engine and
-// RoutedEngine both satisfy it.
-type tunable interface {
-	Multiply(x, y []float64) error
-	MultiplyBlock(X, Y []float64, nrhs int) error
-	kstate() *kernelState
-	installKernel(class int, kid kernelID)
-	tuneDims() (rows, cols int)
-}
-
-func (e *Engine) tuneDims() (int, int)       { return e.d.A.Rows, e.d.A.Cols }
-func (e *RoutedEngine) tuneDims() (int, int) { return e.d.A.Rows, e.d.A.Cols }
 
 // Autotune probes the candidate kernel backends on the engine's own
 // compiled plan and installs per-width-class winners; see TuneConfig.
 // It must not overlap a Multiply (same single-caller contract) and runs
 // a bounded number of multiplies into private scratch, leaving no
 // visible state behind beyond the installed selection.
-func (e *Engine) Autotune(cfg TuneConfig) (KernelReport, error) { return autotune(e, cfg) }
-
-// Autotune is Engine.Autotune for the routed engine.
-func (e *RoutedEngine) Autotune(cfg TuneConfig) (KernelReport, error) { return autotune(e, cfg) }
+func (b *base) Autotune(cfg TuneConfig) (KernelReport, error) { return autotune(b, cfg) }
 
 // KernelReport returns the engine's current kernel selection: the last
 // Autotune's verdict, or an all-default report when never tuned.
-func (e *Engine) KernelReport() KernelReport { return e.kstate().report() }
+func (b *base) KernelReport() KernelReport { return b.report() }
 
-// KernelReport is Engine.KernelReport for the routed engine.
-func (e *RoutedEngine) KernelReport() KernelReport { return e.kstate().report() }
+// tuneCandidates is the probe order for every width class with a
+// register-blocked loop (2, 4, 8); the generic and single-vector
+// classes run scalar loops under either backend, so they have no
+// candidate to probe.
+var tuneCandidates = []kernelID{kernScalar, kernReg}
 
-// tuneCandidates returns the deterministic candidate order for a width
-// class. The generic and single-vector classes have no register-blocked
-// variant (their loops are width-generic already), so only the layout
-// choice is probed there.
-func tuneCandidates(class int, relaxed bool) []kernelID {
-	var c []kernelID
-	if class <= 1 {
-		c = []kernelID{kernScalar, kernSorted}
-	} else {
-		c = []kernelID{kernScalar, kernReg, kernSorted, kernSortedReg}
-	}
-	if relaxed {
-		c = append(c, kernRelaxed)
-	}
-	return c
-}
-
-func autotune(e tunable, cfg TuneConfig) (KernelReport, error) {
-	ks := e.kstate()
+func autotune(e *base, cfg TuneConfig) (KernelReport, error) {
+	ks := &e.kernelState
 
 	if cfg.Force != "" {
 		kid, err := kernelByName(cfg.Force)
@@ -186,16 +151,10 @@ func autotune(e tunable, cfg TuneConfig) (KernelReport, error) {
 		}
 	}
 
-	rows, cols := e.tuneDims()
+	rows, cols := e.dims(fwd)
 	maxW := 1
 	for c, w := range classWidths {
-		if !want[c] {
-			continue
-		}
-		if w == 0 {
-			w = genericProbeWidth
-		}
-		if w > maxW {
+		if want[c] && w > maxW {
 			maxW = w
 		}
 	}
@@ -222,9 +181,10 @@ func autotune(e tunable, cfg TuneConfig) (KernelReport, error) {
 			continue
 		}
 		width := classWidths[c]
-		probeW := width
-		if probeW == 0 {
-			probeW = genericProbeWidth
+		if width <= 1 {
+			e.installKernel(c, kernScalar)
+			choices[c] = KernelChoice{NRHS: width, Kernel: kernScalar.String(), Source: "fixed"}
+			continue
 		}
 		if cfg.Cache != nil {
 			if name, ok := cfg.Cache.Lookup(width); ok {
@@ -237,12 +197,11 @@ func autotune(e tunable, cfg TuneConfig) (KernelReport, error) {
 				continue
 			}
 		}
-		cands := tuneCandidates(c, cfg.RelaxedFP)
-		probes := make(map[string]float64, len(cands))
+		probes := make(map[string]float64, len(tuneCandidates))
 		winner, bestNs, scalarNs := kernScalar, math.MaxFloat64, 0.0
-		for _, kid := range cands {
+		for _, kid := range tuneCandidates {
 			e.installKernel(c, kid)
-			ns, err := probeNs(e, probeW, x, y, rows, cols)
+			ns, err := probeNs(e, width, x, y, rows, cols)
 			if err != nil {
 				return KernelReport{}, err
 			}
@@ -271,13 +230,8 @@ func autotune(e tunable, cfg TuneConfig) (KernelReport, error) {
 
 // probeNs times the installed backend at the given width: tuneWarmups
 // warmup calls, then the best of tuneRounds rounds of tuneInner calls.
-func probeNs(e tunable, nrhs int, x, y []float64, rows, cols int) (float64, error) {
-	call := func() error {
-		if nrhs == 1 {
-			return e.Multiply(x[:cols], y[:rows])
-		}
-		return e.MultiplyBlock(x[:cols*nrhs], y[:rows*nrhs], nrhs)
-	}
+func probeNs(e *base, w int, x, y []float64, rows, cols int) (float64, error) {
+	call := func() error { return e.apply(fwd, x[:cols*w], y[:rows*w], w) }
 	for i := 0; i < tuneWarmups; i++ {
 		if err := call(); err != nil {
 			return 0, err

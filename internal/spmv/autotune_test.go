@@ -62,17 +62,17 @@ func TestAutotuneForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	rep, err := eng.Autotune(TuneConfig{Force: "sortedreg"})
+	rep, err := eng.Autotune(TuneConfig{Force: "reg"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ch := range rep.Choices {
-		if ch.Kernel != "sortedreg" || ch.Source != "forced" {
-			t.Fatalf("forced choice %+v, want sortedreg/forced", ch)
+		if ch.Kernel != "reg" || ch.Source != "forced" {
+			t.Fatalf("forced choice %+v, want reg/forced", ch)
 		}
 	}
-	if got := eng.KernelReport().For(8); got != "sortedreg" {
-		t.Fatalf("installed kernel %q, want sortedreg", got)
+	if got := eng.KernelReport().For(8); got != "reg" {
+		t.Fatalf("installed kernel %q, want reg", got)
 	}
 	if _, err := eng.Autotune(TuneConfig{Force: "simd512"}); err == nil {
 		t.Fatal("unknown forced kernel must error")
@@ -98,13 +98,15 @@ func TestAutotuneProbedReport(t *testing.T) {
 	probed := 0
 	for _, ch := range rep.Choices {
 		switch ch.Source {
+		case "fixed":
+			// The single-vector class has one candidate: set, not probed.
+			if ch.NRHS != 1 || ch.Kernel != "scalar" {
+				t.Fatalf("fixed choice %+v, want the nrhs=1 class on scalar", ch)
+			}
 		case "probed":
 			probed++
 			if !valid[ch.Kernel] {
 				t.Fatalf("probed winner %q is not a registered backend", ch.Kernel)
-			}
-			if ch.Kernel == "relaxed" {
-				t.Fatal("relaxed won a probe without RelaxedFP opt-in")
 			}
 			if len(ch.ProbesNs) == 0 {
 				t.Fatalf("probed choice %+v carries no probe times", ch)
@@ -121,12 +123,12 @@ func TestAutotuneProbedReport(t *testing.T) {
 			t.Fatalf("unexpected source %q", ch.Source)
 		}
 	}
-	if probed != 3 {
-		t.Fatalf("probed %d classes, want 3", probed)
+	if probed != 2 {
+		t.Fatalf("probed %d classes, want 2", probed)
 	}
 
 	// Whatever won, results must stay bitwise identical to a scalar
-	// engine on the same build (relaxed was not admitted).
+	// engine on the same build.
 	ref, err := New(b)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +159,8 @@ func TestAutotuneProbedReport(t *testing.T) {
 // TestAutotuneDeterministicAcrossBuilds pins the cross-build
 // determinism contract: two NewTuned builds over one pipeline must
 // install identical kernels — the first probes, the second reads the
-// memoized verdicts ("cached") without re-timing.
+// memoized verdicts ("cached") without re-timing. The generic and
+// single-vector classes have one candidate and are "fixed" on both.
 func TestAutotuneDeterministicAcrossBuilds(t *testing.T) {
 	opt := method.Options{Seed: 1, Pipeline: method.NewPipeline()}
 	b := tuneBuild(t, opt)
@@ -180,8 +183,12 @@ func TestAutotuneDeterministicAcrossBuilds(t *testing.T) {
 		}
 	}
 	for _, ch := range rep2.Choices {
-		if ch.Source != "cached" {
-			t.Fatalf("second build's class %d came from %q, want cached", ch.NRHS, ch.Source)
+		want := "cached"
+		if ch.NRHS <= 1 {
+			want = "fixed"
+		}
+		if ch.Source != want {
+			t.Fatalf("second build's class %d came from %q, want %s", ch.NRHS, ch.Source, want)
 		}
 	}
 	// A distinct K (different memo key) must not see these entries.
@@ -198,13 +205,13 @@ func TestAutotuneHonorsPrepopulatedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	cache := &mapCache{m: map[int]string{8: "sortedreg"}}
+	cache := &mapCache{m: map[int]string{8: "reg"}}
 	rep, err := eng.Autotune(TuneConfig{Widths: []int{8}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.For(8); got != "sortedreg" {
-		t.Fatalf("For(8) = %q, want the cached sortedreg", got)
+	if got := rep.For(8); got != "reg" {
+		t.Fatalf("For(8) = %q, want the cached reg", got)
 	}
 	for _, ch := range rep.Choices {
 		if ch.NRHS == 8 && ch.Source != "cached" {
@@ -220,7 +227,7 @@ func TestAutotuneHonorsPrepopulatedCache(t *testing.T) {
 }
 
 func TestNewTunedForceKernelOption(t *testing.T) {
-	opt := method.Options{Seed: 1, Pipeline: method.NewPipeline(), ForceKernel: "sorted"}
+	opt := method.Options{Seed: 1, Pipeline: method.NewPipeline(), ForceKernel: "reg"}
 	b := tuneBuild(t, opt)
 	eng, rep, err := NewTuned(b, opt)
 	if err != nil {
@@ -228,11 +235,11 @@ func TestNewTunedForceKernelOption(t *testing.T) {
 	}
 	t.Cleanup(eng.Close)
 	for _, ch := range rep.Choices {
-		if ch.Kernel != "sorted" || ch.Source != "forced" {
-			t.Fatalf("choice %+v, want sorted/forced", ch)
+		if ch.Kernel != "reg" || ch.Source != "forced" {
+			t.Fatalf("choice %+v, want reg/forced", ch)
 		}
 	}
-	if got := eng.KernelReport().String(); got != "0:sorted 1:sorted 2:sorted 4:sorted 8:sorted" {
+	if got := eng.KernelReport().String(); got != "0:reg 1:reg 2:reg 4:reg 8:reg" {
 		t.Fatalf("report string %q", got)
 	}
 }

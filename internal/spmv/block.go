@@ -1,17 +1,136 @@
 package spmv
 
-// This file adds the multi-RHS (SpMM) execution path on top of the
-// compiled plans: Y ← AX for nrhs right-hand sides at once. The static
-// schedule is untouched — every packet keeps its fixed destination and
-// index arrays, so a block multiply sends exactly the same number of
-// messages as a single multiply and only the value payloads widen to
-// nrhs words per index. Vectors use the column-blocked (SoA row-major)
-// layout: column c's entry for row i lives at X[i*nrhs+c], which keeps
-// every kernel's inner loop a unit-stride run over the nrhs columns.
+import "repro/internal/distrib"
+
+// This file is the public multiply surface both engines share. Every
+// multiply — single-vector or multi-RHS (SpMM), forward or transpose —
+// is one apply(dir, X, Y, w) over the engine's compiled plan for that
+// direction. The static schedule is the same at every width: each
+// packet keeps its fixed destination and index arrays, so a block
+// multiply sends exactly the same number of messages as a single one and
+// only the value payloads widen to w words per index. Vectors use the
+// column-blocked (SoA row-major) layout: column c's entry for row i
+// lives at X[i*w+c], which keeps every kernel's inner loop a unit-stride
+// run over the w columns. Width 1 is the single-vector layout, so
+// Multiply is MultiplyBlock at w = 1.
 //
-// Block buffers are carved lazily on the first MultiplyBlock at a given
-// width and cached at the maximum width seen, so steady-state block
-// multiplies — like single ones — perform zero heap allocations.
+// Buffers are sized lazily for the (direction, width) of each call and
+// cached at the largest width seen, so steady-state multiplies perform
+// zero heap allocations.
+
+// shape is the (direction, width) the engine's buffers are sliced for.
+type shape struct {
+	d dir
+	w int
+}
+
+// base is the dispatch state and public surface Engine and RoutedEngine
+// embed: the distribution, the worker pool, the kernel selection, the
+// slice-of-vectors scratch, and the engine's ensureWidth hook.
+type base struct {
+	d    *distrib.Distribution
+	pool workerPool
+	kernelState
+	io blockIO
+
+	// ensure is the engine's ensureWidth: it readies the plan for
+	// direction d at width w — compiling the transpose plan on its first
+	// use and re-slicing every per-call buffer — with the workers parked.
+	// apply calls it only when the shape changes.
+	ensure func(d dir, w int)
+	shape  shape
+}
+
+// dims returns the operator's output and input lengths in direction d.
+func (b *base) dims(d dir) (rows, cols int) {
+	if d == trans {
+		return b.d.A.Cols, b.d.A.Rows
+	}
+	return b.d.A.Rows, b.d.A.Cols
+}
+
+// apply computes Y ← AX (or AᵀX) for w column-blocked right-hand sides.
+func (b *base) apply(d dir, X, Y []float64, w int) error {
+	rows, cols := b.dims(d)
+	checkBlockDims(X, Y, w, cols, rows)
+	if s := (shape{d, w}); b.shape != s {
+		b.ensure(d, w)
+		b.shape = s
+	}
+	b.curKern = b.sel.forWidth(w)
+	return b.pool.dispatch(d, X, Y, w)
+}
+
+// Multiply computes y ← Ax in parallel. x and y must have the matrix's
+// dimensions (mismatches panic: that is a caller bug, not a runtime
+// condition); y is fully overwritten. Steady-state calls spawn no
+// goroutines and allocate nothing: the parked workers execute the
+// compiled plan against the published x and y. Calls must not overlap
+// on one engine — they share the compiled packet buffers. Multiply
+// returns a typed *ClosedError after Close and a typed
+// *EngineFaultError once a contained worker panic has poisoned the
+// engine.
+func (b *base) Multiply(x, y []float64) error { return b.apply(fwd, x, y, 1) }
+
+// MultiplyBlock computes Y ← AX for nrhs right-hand sides in the
+// column-blocked layout (X[j*nrhs+c] is x_j of column c): one packet per
+// peer per phase regardless of nrhs, zero steady-state heap allocations
+// at a fixed width, and nrhs=1 identical to Multiply.
+func (b *base) MultiplyBlock(X, Y []float64, nrhs int) error { return b.apply(fwd, X, Y, nrhs) }
+
+// MultiplyMulti computes Y[c] ← A·X[c] for every column c in one block
+// multiply. X and Y are nrhs vectors of the matrix's dimensions; the
+// engine packs them into its column-blocked scratch, runs the block
+// multiply, and unpacks — zero steady-state allocations at a fixed nrhs.
+func (b *base) MultiplyMulti(X, Y [][]float64) error { return b.multi(fwd, X, Y) }
+
+// MultiplyTranspose computes y ← Aᵀx in parallel: x has the matrix's
+// row dimension, y its column dimension, and y is fully overwritten.
+// The first call compiles the transpose plan from the engine's retained
+// schedule (the forward plan's packet structure with the phases
+// reversed); steady-state calls spawn no goroutines and allocate
+// nothing.
+func (b *base) MultiplyTranspose(x, y []float64) error { return b.apply(trans, x, y, 1) }
+
+// MultiplyTransposeBlock computes Y ← AᵀX for nrhs right-hand sides in
+// the column-blocked layout (X[i*nrhs+c] is x_i of column c), with
+// MultiplyBlock's contracts.
+func (b *base) MultiplyTransposeBlock(X, Y []float64, nrhs int) error {
+	return b.apply(trans, X, Y, nrhs)
+}
+
+// MultiplyTransposeMulti computes Y[c] ← Aᵀ·X[c] for every column c in
+// one block transpose multiply; see MultiplyMulti.
+func (b *base) MultiplyTransposeMulti(X, Y [][]float64) error { return b.multi(trans, X, Y) }
+
+// Close parks the engine permanently: its worker goroutines exit and
+// every multiply returns a typed *ClosedError afterwards. Close is
+// idempotent — sharing layers that refcount engines may Close
+// defensively. Closing is optional — an unclosed engine merely keeps K
+// goroutines parked until process exit — but long-lived programs that
+// build many engines should close them.
+func (b *base) Close() { b.pool.close() }
+
+// multi runs one slice-of-vectors multiply through the column-blocked
+// path: pack X into scratch, apply, unpack into Y. A single vector is
+// already in the nrhs=1 column-blocked layout, so it skips the scratch.
+func (b *base) multi(d dir, X, Y [][]float64) error {
+	nrhs := len(X)
+	if nrhs == 0 || len(Y) != nrhs {
+		panic("spmv: dimension mismatch")
+	}
+	if nrhs == 1 {
+		return b.apply(d, X[0], Y[0], 1)
+	}
+	rows, cols := b.dims(d)
+	xb := b.io.pack(X, cols)
+	b.io.yb = growBlock(b.io.yb, rows*nrhs)
+	if err := b.apply(d, xb, b.io.yb, nrhs); err != nil {
+		return err
+	}
+	b.io.unpack(Y, rows)
+	return nil
+}
 
 // blockIO holds the pack/unpack scratch MultiplyMulti uses to adapt
 // slice-of-vectors callers to the column-blocked layout.
@@ -20,49 +139,38 @@ type blockIO struct {
 }
 
 // pack interleaves X (nrhs vectors of length n) into the column-blocked
-// scratch and returns it.
+// scratch and returns it. It stays out of line: inlined into multi, its
+// strided store loop ran ~2× slower (MultiplyMulti at nrhs=8 on a
+// 2500-row matrix, amd64), enough to cost the serving scheduler's
+// coalesced flushes ~15%.
+//
+//go:noinline
 func (io *blockIO) pack(X [][]float64, n int) []float64 {
 	nrhs := len(X)
-	io.xb = growBlock(io.xb, n*nrhs)
+	xb := growBlock(io.xb, n*nrhs)
+	io.xb = xb
 	for c, xc := range X {
 		if len(xc) != n {
 			panic("spmv: dimension mismatch")
 		}
 		for i, v := range xc {
-			io.xb[i*nrhs+c] = v
+			xb[i*nrhs+c] = v
 		}
 	}
-	return io.xb
+	return xb
 }
 
 // unpack de-interleaves the column-blocked result into Y.
 func (io *blockIO) unpack(Y [][]float64, n int) {
-	nrhs := len(Y)
+	nrhs, yb := len(Y), io.yb
 	for c, yc := range Y {
 		if len(yc) != n {
 			panic("spmv: dimension mismatch")
 		}
 		for i := range yc {
-			yc[i] = io.yb[i*nrhs+c]
+			yc[i] = yb[i*nrhs+c]
 		}
 	}
-}
-
-// multi runs one slice-of-vectors multiply through the column-blocked
-// path: pack X into scratch, mulBlock, unpack into Y. Shared by both
-// engines' MultiplyMulti.
-func (io *blockIO) multi(X, Y [][]float64, cols, rows int, mulBlock func(X, Y []float64, nrhs int) error) error {
-	nrhs := len(X)
-	if nrhs == 0 || len(Y) != nrhs {
-		panic("spmv: dimension mismatch")
-	}
-	xb := io.pack(X, cols)
-	io.yb = growBlock(io.yb, rows*nrhs)
-	if err := mulBlock(xb, io.yb, nrhs); err != nil {
-		return err
-	}
-	io.unpack(Y, rows)
-	return nil
 }
 
 // checkBlockDims panics unless X and Y are column-blocked for nrhs
@@ -74,226 +182,4 @@ func checkBlockDims(X, Y []float64, nrhs, cols, rows int) {
 	if len(X) != cols*nrhs || len(Y) != rows*nrhs {
 		panic("spmv: dimension mismatch")
 	}
-}
-
-// addBlock accumulates src into dst (both nrhs wide).
-func addBlock(dst, src []float64) {
-	for c := range dst {
-		dst[c] += src[c]
-	}
-}
-
-// ---- Engine ----
-
-// ensureBlock (re)sizes every per-proc block buffer for width nrhs.
-// Called with the workers parked, before dispatch; growth allocates,
-// repeat calls at or below the cached capacity only re-slice.
-func (e *Engine) ensureBlock(nrhs int) {
-	if nrhs == e.blockNRHS {
-		return
-	}
-	for _, pr := range e.procs {
-		pr.extXB = growBlock(pr.extXB, len(pr.extSlot)*nrhs)
-		pr.accB = growBlock(pr.accB, nrhs)
-		for _, sp := range pr.sends {
-			sp.ensureBlock(nrhs)
-		}
-		for _, sp := range pr.ySends {
-			sp.ensureBlock(nrhs)
-		}
-	}
-	e.blockNRHS = nrhs
-}
-
-// MultiplyBlock computes Y ← AX for nrhs right-hand sides in the
-// column-blocked layout (X[j*nrhs+c] is x_j of column c). It reuses the
-// engine's compiled plan with nrhs-wide payloads: one packet per peer per
-// phase regardless of nrhs, and zero steady-state heap allocations once
-// the block buffers are sized for the width. nrhs=1 is bit-identical to
-// Multiply. Like Multiply, calls must not overlap on one engine.
-func (e *Engine) MultiplyBlock(X, Y []float64, nrhs int) error {
-	a := e.d.A
-	checkBlockDims(X, Y, nrhs, a.Cols, a.Rows)
-	e.ensureBlock(nrhs)
-	e.curKern = e.sel.forWidth(nrhs)
-	return e.pool.dispatchBlock(X, Y, nrhs)
-}
-
-// MultiplyMulti computes Y[c] ← A·X[c] for every column c in one block
-// multiply. X and Y are nrhs vectors of the matrix's dimensions; the
-// engine packs them into its column-blocked scratch, runs MultiplyBlock,
-// and unpacks — zero steady-state allocations at a fixed nrhs.
-func (e *Engine) MultiplyMulti(X, Y [][]float64) error {
-	return e.io.multi(X, Y, e.d.A.Cols, e.d.A.Rows, e.MultiplyBlock)
-}
-
-// runFusedBlock is runFused with nrhs-wide payloads: same packets, same
-// sender-ordered folds, block kernels.
-//
-//spmv:hotpath
-func (e *Engine) runFusedBlock(pr *proc, x, y []float64, nrhs int, kid kernelID) {
-	pc := e.phaseClock(pr)
-	for _, sp := range pr.sends {
-		sp.fillBlock(kid, x, pr.extXB, nrhs)
-		e.procs[sp.dest].inbox[0] <- sp.bufB
-	}
-	pc.lap(&e.pt.expandNs)
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		slots := pr.recvX[pk.from]
-		for t, s := range slots {
-			copy(pr.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[t*nrhs:(t+1)*nrhs])
-		}
-		for t, i := range pk.yIdx {
-			addBlock(y[i*nrhs:(i+1)*nrhs], pk.yVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.foldNs)
-	ownOf(&pr.own, &pr.ownS, kid).addIntoBlockK(kid, y, x, pr.extXB, nrhs, pr.accB)
-	pc.lap(&e.pt.computeNs)
-}
-
-// runTwoPhaseBlock is runTwoPhase with nrhs-wide payloads.
-//
-//spmv:hotpath
-func (e *Engine) runTwoPhaseBlock(pr *proc, x, y []float64, nrhs int, kid kernelID) {
-	pc := e.phaseClock(pr)
-	// Phase 0 — Expand.
-	for _, sp := range pr.sends {
-		sp.fillBlock(kid, x, pr.extXB, nrhs)
-		e.procs[sp.dest].inbox[0] <- sp.bufB
-	}
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		slots := pr.recvX[pk.from]
-		for t, s := range slots {
-			copy(pr.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.expandNs)
-	// Multiply.
-	ownOf(&pr.own, &pr.ownS, kid).addIntoBlockK(kid, y, x, pr.extXB, nrhs, pr.accB)
-	pc.lap(&e.pt.computeNs)
-	// Phase 1 — Fold.
-	for _, sp := range pr.ySends {
-		sp.fillBlock(kid, x, pr.extXB, nrhs)
-		e.procs[sp.dest].inbox[1] <- sp.bufB
-	}
-	for _, pk := range pr.recv[1].gather(pr.inbox[1]) {
-		for t, i := range pk.yIdx {
-			addBlock(y[i*nrhs:(i+1)*nrhs], pk.yVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.foldNs)
-}
-
-// ---- RoutedEngine ----
-
-// ensureBlock mirrors Engine.ensureBlock for the routed plan's dense
-// routing buffers and forward packets.
-func (e *RoutedEngine) ensureBlock(nrhs int) {
-	if nrhs == e.blockNRHS {
-		return
-	}
-	for _, pr := range e.rprocs {
-		pr.extXB = growBlock(pr.extXB, len(pr.extSlot)*nrhs)
-		pr.routeXValB = growBlock(pr.routeXValB, len(pr.routeXVal)*nrhs)
-		pr.routeYValB = growBlock(pr.routeYValB, len(pr.routeYVal)*nrhs)
-		pr.accB = growBlock(pr.accB, nrhs)
-		for _, sp := range pr.p1Sends {
-			sp.ensureBlock(nrhs)
-		}
-		for _, fp := range pr.p2Sends {
-			fp.bufB = packet{
-				from: fp.buf.from,
-				xIdx: fp.buf.xIdx,
-				xVal: growBlock(fp.bufB.xVal, len(fp.xSlot)*nrhs),
-				yIdx: fp.buf.yIdx,
-				yVal: growBlock(fp.bufB.yVal, len(fp.ySlot)*nrhs),
-			}
-		}
-	}
-	// The dense routing buffers are shared with the transpose plan; it
-	// must re-slice them on its next block call (see ensureTransposeBlock).
-	e.tBlockNRHS = 0
-	e.blockNRHS = nrhs
-}
-
-// MultiplyBlock computes Y ← AX for nrhs right-hand sides with the routed
-// two-hop schedule; see Engine.MultiplyBlock for the layout and the
-// allocation contract.
-func (e *RoutedEngine) MultiplyBlock(X, Y []float64, nrhs int) error {
-	a := e.d.A
-	checkBlockDims(X, Y, nrhs, a.Cols, a.Rows)
-	e.ensureBlock(nrhs)
-	e.curKern = e.sel.forWidth(nrhs)
-	return e.pool.dispatchBlock(X, Y, nrhs)
-}
-
-// MultiplyMulti computes Y[c] ← A·X[c] for every column c in one routed
-// block multiply; see Engine.MultiplyMulti.
-func (e *RoutedEngine) MultiplyMulti(X, Y [][]float64) error {
-	return e.io.multi(X, Y, e.d.A.Cols, e.d.A.Rows, e.MultiplyBlock)
-}
-
-// runBlock is run with nrhs-wide payloads: identical routing, combining,
-// and fold order, block kernels and block copies.
-//
-//spmv:hotpath
-func (e *RoutedEngine) runBlock(pr *rproc, x, y []float64, nrhs int, kid kernelID) {
-	ryb := pr.routeYValB
-	for i := range ryb {
-		ryb[i] = 0
-	}
-	// Seed the routing buffers with self-routed payloads. selfY's rows
-	// index routing slots, not packet positions, so the relaxed loops may
-	// run here; the sorted layout still never applies (it is derived only
-	// for the own compute kernels).
-	for _, s := range pr.selfX {
-		copy(pr.routeXValB[s.slot*nrhs:(s.slot+1)*nrhs], x[s.idx*nrhs:(s.idx+1)*nrhs])
-	}
-	pr.selfY.addIntoBlockK(kid, ryb, x, nil, nrhs, pr.accB)
-	// Phase 1 sends.
-	for _, sp := range pr.p1Sends {
-		sp.fillBlock(kid, x, nil, nrhs)
-		e.rprocs[sp.dest].inbox[0] <- sp.bufB
-	}
-	// Phase 1 receives: combine into the dense routing buffers.
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		tr := pr.p1Recv[pk.from]
-		for t, rs := range tr.xRoute {
-			src := pk.xVal[t*nrhs : (t+1)*nrhs]
-			copy(pr.routeXValB[rs*nrhs:(rs+1)*nrhs], src)
-			if s := tr.xExt[t]; s >= 0 {
-				copy(pr.extXB[s*nrhs:(s+1)*nrhs], src)
-			}
-		}
-		for t, s := range tr.ySlot {
-			addBlock(ryb[s*nrhs:(s+1)*nrhs], pk.yVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	// Phase 2 sends: forward combined payloads to final destinations.
-	for _, fp := range pr.p2Sends {
-		for t, s := range fp.xSlot {
-			copy(fp.bufB.xVal[t*nrhs:(t+1)*nrhs], pr.routeXValB[s*nrhs:(s+1)*nrhs])
-		}
-		for t, s := range fp.ySlot {
-			copy(fp.bufB.yVal[t*nrhs:(t+1)*nrhs], ryb[s*nrhs:(s+1)*nrhs])
-		}
-		e.rprocs[fp.dest].inbox[1] <- fp.bufB
-	}
-	// Rows this proc owns fold straight out of the routing buffer.
-	for t, i := range pr.yLocalRows {
-		addBlock(y[i*nrhs:(i+1)*nrhs], ryb[pr.yLocalSlot[t]*nrhs:(pr.yLocalSlot[t]+1)*nrhs])
-	}
-	// Phase 2 receives.
-	for _, pk := range pr.recv[1].gather(pr.inbox[1]) {
-		slots := pr.p2Recv[pk.from]
-		for t, s := range slots {
-			copy(pr.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[t*nrhs:(t+1)*nrhs])
-		}
-		for t, i := range pk.yIdx {
-			addBlock(y[i*nrhs:(i+1)*nrhs], pk.yVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	// Compute local rows.
-	ownOf(&pr.own, &pr.ownS, kid).addIntoBlockK(kid, y, x, pr.extXB, nrhs, pr.accB)
 }

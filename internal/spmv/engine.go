@@ -14,9 +14,11 @@
 // count real packets, and to serve iterative solvers efficiently:
 // NewEngine compiles the static schedule into a flat execution plan (see
 // plan.go) and parks K persistent workers, so a steady-state Multiply
-// spawns no goroutines and performs no heap allocations. Every plan also
-// serves the transpose product y ← Aᵀx with the phases reversed (see
-// transpose.go, routed_transpose.go) under the same contracts.
+// spawns no goroutines and performs no heap allocations. The transpose
+// product y ← Aᵀx compiles to a plan of the same type with the phases
+// reversed (see transpose.go, routed_transpose.go), and one run body per
+// schedule — runFused, runTwoPhase, runRouted — executes either
+// direction at any width w ≥ 1 (see block.go) under the same contracts.
 package spmv
 
 import (
@@ -39,8 +41,8 @@ type packet struct {
 }
 
 // proc holds one processor's schedule. The map-based fields describe the
-// schedule for ScheduleStats and the consistency tests; the compiled plan
-// fields below are what Multiply actually executes.
+// schedule for ScheduleStats and the consistency tests; plans holds what
+// a multiply actually executes.
 type proc struct {
 	id int
 
@@ -54,36 +56,56 @@ type proc struct {
 
 	// xNeed[dest] lists the locally-owned x indices dest requires.
 	xNeed map[int][]int
-	// extSlot maps a remote x index to a slot in extX.
+	// extSlot maps a remote x index to a slot in the forward extX.
 	extSlot map[int]int
-	extX    []float64
 
-	// One inbox per phase: a fast sender must not inject a later-phase
-	// packet into an earlier receive loop.
-	inbox []chan packet
+	// plans[fwd] is compiled at construction, plans[trans] on the first
+	// transpose multiply (see transpose.go).
+	plans [2]*plan
+}
 
-	// Compiled execution plan (see plan.go).
-	own rowKernel // Compute step over ownRows
-	// ownS is own recompiled in descending-work slot order, derived
-	// lazily the first time a sorted-layout backend is installed (see
-	// kernel.go); empty until then.
-	ownS   rowKernel
-	sends  []*sendPlan // fused: [x̂,ŷ] packets; two-phase: phase-0 x packets
-	ySends []*sendPlan // two-phase phase-1 fold packets
+// plan is one processor's compiled schedule in one direction. The
+// transpose is the forward plan's edge-for-edge dual, so both directions
+// compile to this one type and run through the same body.
+type plan struct {
+	// own is the Compute kernel over the locally-owned outputs.
+	own rowKernel
+	// sends are the fused [x̂,ŷ] packets, or the two-phase phase-0 x
+	// packets; ySends are the two-phase phase-1 fold packets.
+	sends  []*sendPlan
+	ySends []*sendPlan
 	// recvX[sender] maps the t-th x entry of that sender's packet to an
 	// extX slot.
 	recvX map[int][]int
 	recv  []recvPlan // one per phase, fixing fold order by sender
 
-	// Block (multi-RHS) twins of the per-call buffers, sized lazily by
-	// Engine.ensureBlock: extXB mirrors extX with nrhs values per slot,
-	// accB is the per-slot accumulator scratch for the block kernels.
-	extXB []float64
-	accB  []float64
+	// Per-call buffers, sized by resize for the call's width w: nExt
+	// external x slots of w values each, the w-wide accumulator scratch
+	// of the generic block kernels, and the packet payloads' arena.
+	nExt int
+	extX []float64
+	acc  []float64
+	vals valArena
+}
 
-	// Compiled transpose plan (y ← Aᵀx), built lazily on the first
-	// MultiplyTranspose; see transpose.go.
-	t *tproc
+// resize sizes every per-call buffer of the plan for width w.
+func (p *plan) resize(w int) {
+	p.extX = growBlock(p.extX, p.nExt*w)
+	p.acc = growBlock(p.acc, w)
+	n := 0
+	for _, sp := range p.sends {
+		n += sp.buf.words()
+	}
+	for _, sp := range p.ySends {
+		n += sp.buf.words()
+	}
+	p.vals.reset(n * w)
+	for _, sp := range p.sends {
+		sp.buf.carve(&p.vals, w)
+	}
+	for _, sp := range p.ySends {
+		sp.buf.carve(&p.vals, w)
+	}
 }
 
 type localNZ struct {
@@ -92,34 +114,18 @@ type localNZ struct {
 	val float64
 }
 
-// Engine runs parallel SpMV for a fixed distribution. Build once with
-// NewEngine, call Multiply repeatedly. Multiply must not be called
-// concurrently on the same engine: calls share the compiled packet
-// buffers.
+// Engine runs the fused (s2D) or two-phase (2D) schedule for a fixed
+// distribution. Build once with NewEngine, call Multiply repeatedly.
+// Multiplies must not be called concurrently on the same engine: calls
+// share the compiled packet buffers.
 type Engine struct {
-	d     *distrib.Distribution
+	base
 	procs []*proc
 	fused bool
-	pool  workerPool
-
-	// Per-width-class kernel backend selection and the lazily derived
-	// sorted layouts (see kernel.go, autotune.go). The zero value runs
-	// the scalar reference kernels everywhere.
-	kernelState
 
 	// pt samples per-phase expand/compute/fold wall time on worker 0
 	// when armed via SamplePhases (see timing.go).
 	pt phaseTimer
-
-	// blockNRHS is the width the block buffers are currently sliced for
-	// (0 until the first MultiplyBlock); see ensureBlock in block.go.
-	blockNRHS int
-	io        blockIO
-
-	// tready flips once the transpose plan is compiled (lazily, by the
-	// first MultiplyTranspose); tBlockNRHS is blockNRHS's transpose twin.
-	tready     bool
-	tBlockNRHS int
 }
 
 // NewEngine builds the static communication and computation schedule for
@@ -144,59 +150,49 @@ func NewEngine(d *distrib.Distribution) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.pool.launch(len(e.procs), func(i int, x, y []float64, nrhs int, transpose bool) {
+	e.d = d
+	e.ensure = e.ensureWidth
+	e.compileForward()
+	e.pool.launch(d.K, e.phases(), func(i int, dr dir, x, y []float64, w int) {
 		pr := e.procs[i]
 		// curKern is written by the dispatcher before the start-channel
 		// send, so this read is ordered after it.
-		kid := e.curKern
-		switch {
-		case transpose && nrhs > 0 && e.fused:
-			e.runFusedTBlock(pr, x, y, nrhs, kid)
-		case transpose && nrhs > 0:
-			e.runTwoPhaseTBlock(pr, x, y, nrhs, kid)
-		case transpose && e.fused:
-			e.runFusedT(pr, x, y, kid)
-		case transpose:
-			e.runTwoPhaseT(pr, x, y, kid)
-		case nrhs > 0 && e.fused:
-			e.runFusedBlock(pr, x, y, nrhs, kid)
-		case nrhs > 0:
-			e.runTwoPhaseBlock(pr, x, y, nrhs, kid)
-		case e.fused:
-			e.runFused(pr, x, y, kid)
-		default:
-			e.runTwoPhase(pr, x, y, kid)
+		if e.fused {
+			e.runFused(pr, pr.plans[dr], x, y, w, e.curKern)
+		} else {
+			e.runTwoPhase(pr, pr.plans[dr], x, y, w, e.curKern)
 		}
-	}, e.releasePeers)
+	})
 	return e, nil
 }
 
-// Close parks the engine permanently: its worker goroutines exit and
-// Multiply must not be called again (it returns a typed *ClosedError
-// if it is). Close is idempotent — sharing layers that
-// refcount engines may Close defensively. Closing is optional — an
-// unclosed engine merely keeps K goroutines parked until process exit —
-// but long-lived programs that build many engines should close them.
-func (e *Engine) Close() { e.pool.close() }
+// phases is the number of communication phases (inboxes) per multiply.
+func (e *Engine) phases() int {
+	if e.fused {
+		return 1
+	}
+	return 2
+}
 
-func newProcs(k, phases int) []*proc {
+// ensureWidth compiles the transpose plan on its first use and re-slices
+// direction d's buffers for width w; it runs with the workers parked.
+func (e *Engine) ensureWidth(d dir, w int) {
+	if e.procs[0].plans[d] == nil {
+		e.compileTranspose()
+	}
+	for _, pr := range e.procs {
+		pr.plans[d].resize(w)
+	}
+}
+
+func newProcs(k int) []*proc {
 	procs := make([]*proc, k)
 	for i := range procs {
-		inbox := make([]chan packet, phases)
-		for ph := range inbox {
-			// Capacity 2k: sends never block, so no deadlock between
-			// mutually waiting processors — even when fault containment
-			// floods one release packet per worker on top of the at most
-			// one real packet per sender per phase (see fault.go).
-			inbox[ph] = make(chan packet, 2*k)
-		}
 		procs[i] = &proc{
 			id:        i,
 			preGroups: make(map[int][]localNZ),
 			xNeed:     make(map[int][]int),
 			extSlot:   make(map[int]int),
-			inbox:     inbox,
-			recvX:     make(map[int][]int),
 		}
 	}
 	return procs
@@ -211,25 +207,85 @@ func (p *proc) slotFor(j int) int {
 	return s
 }
 
-// compileRecvX installs, on every destination, the extX slot translation
-// for each sender's fixed x payload.
-func compileRecvX(procs []*proc) {
-	for _, pr := range procs {
-		for dest, idxs := range pr.xNeed { //spmvlint:unordered each destination writes its own recvX slot
-			slots := make([]int, len(idxs))
-			for t, j := range idxs {
-				slots[t] = procs[dest].extSlot[j]
+// compilePlan lowers one processor's schedule in one direction's frame
+// to a plan: own is the Compute set, pre[dst] the partials shipped to
+// dst, xOut[dst] the x indices shipped to dst, and nExt the number of
+// external x slots the own and partial kernels read. A fused plan ships
+// x entries and partials together in one packet per destination; a
+// two-phase plan ships the x entries in phase 0 and the partials in
+// phase 1. Destinations ascend, so packet emission is deterministic.
+// The receive side is wired by linkPlans.
+func compilePlan(id int, fused bool, own []localNZ, pre map[int][]localNZ, xOut map[int][]int, nExt int) *plan {
+	p := &plan{own: compileRows(own), recvX: make(map[int][]int), nExt: nExt}
+	if fused {
+		dests := make(map[int]struct{}, len(xOut)+len(pre))
+		for dst := range xOut {
+			dests[dst] = struct{}{}
+		}
+		for dst := range pre {
+			dests[dst] = struct{}{}
+		}
+		for _, dst := range sortedKeys(dests) {
+			p.sends = append(p.sends, newSendPlan(id, dst, xOut[dst], compileRows(pre[dst])))
+		}
+		return p
+	}
+	for _, dst := range sortedKeys(xOut) {
+		p.sends = append(p.sends, newSendPlan(id, dst, xOut[dst], rowKernel{}))
+	}
+	for _, dst := range sortedKeys(pre) {
+		p.ySends = append(p.ySends, newSendPlan(id, dst, nil, compileRows(pre[dst])))
+	}
+	return p
+}
+
+// linkPlans wires the receive side of one direction's plans: each
+// destination expects one packet per phase from every processor that
+// sends it one, in ascending sender order, and translates each
+// sender's fixed x payload into its extX slots through ext, the
+// destination's index→slot map in that direction.
+func linkPlans(plans []*plan, ext []map[int]int, phases int) {
+	senders := make([][][]int, len(plans))
+	for i := range senders {
+		senders[i] = make([][]int, phases)
+	}
+	for from, p := range plans {
+		for _, sp := range p.sends {
+			senders[sp.dest][0] = append(senders[sp.dest][0], from)
+			slots := make([]int, len(sp.buf.xIdx))
+			for t, j := range sp.buf.xIdx {
+				slots[t] = ext[sp.dest][j]
 			}
-			procs[dest].recvX[pr.id] = slots
+			plans[sp.dest].recvX[from] = slots
+		}
+		for _, sp := range p.ySends {
+			senders[sp.dest][1] = append(senders[sp.dest][1], from)
 		}
 	}
+	for i, p := range plans {
+		for _, s := range senders[i] {
+			p.recv = append(p.recv, newRecvPlan(s))
+		}
+	}
+}
+
+// compileForward compiles every processor's forward plan.
+func (e *Engine) compileForward() {
+	plans := make([]*plan, len(e.procs))
+	ext := make([]map[int]int, len(e.procs))
+	for i, pr := range e.procs {
+		plans[i] = compilePlan(pr.id, e.fused, pr.ownRows, pr.preGroups, pr.xNeed, len(pr.extSlot))
+		ext[i] = pr.extSlot
+		pr.plans[fwd] = plans[i]
+	}
+	linkPlans(plans, ext, e.phases())
 }
 
 // newFusedEngine builds the §III schedule: every nonzero is x-local or
 // y-local; x-local/y-remote nonzeros are precomputed and their partials
 // ride in the same packet as the x entries the destination needs.
 func newFusedEngine(d *distrib.Distribution) (*Engine, error) {
-	procs := newProcs(d.K, 1)
+	procs := newProcs(d.K)
 
 	// xWant[owner][dest] tracks the set of x indices dest needs from owner.
 	type pair struct{ from, to int }
@@ -270,52 +326,7 @@ func newFusedEngine(d *distrib.Distribution) (*Engine, error) {
 		sort.Ints(idxs)
 		procs[key.from].xNeed[key.to] = idxs
 	}
-	// A packet k→ℓ exists if k has x entries for ℓ or precomputed partials
-	// for ℓ — collect the sender set of every destination.
-	sendersOf := make(map[int]map[int]struct{})
-	addSender := func(from, to int) {
-		if sendersOf[to] == nil {
-			sendersOf[to] = make(map[int]struct{})
-		}
-		sendersOf[to][from] = struct{}{}
-	}
-	for key := range xWant { //spmvlint:unordered set insertion; commutative
-		addSender(key.from, key.to)
-	}
-	for _, pr := range procs {
-		for dest := range pr.preGroups { //spmvlint:unordered set insertion; commutative
-			addSender(pr.id, dest)
-		}
-	}
-	for _, pr := range procs {
-		pr.extX = make([]float64, len(pr.extSlot))
-	}
-
-	// ---- compile the execution plan ----
-	for _, pr := range procs {
-		pr.own = compileRows(pr.ownRows)
-		destSet := make(map[int]struct{}, len(pr.xNeed)+len(pr.preGroups))
-		for dst := range pr.xNeed {
-			destSet[dst] = struct{}{}
-		}
-		for dst := range pr.preGroups {
-			destSet[dst] = struct{}{}
-		}
-		dests := sortedKeys(destSet)
-		grps := make([]rowKernel, len(dests))
-		words := 0
-		for t, dst := range dests {
-			grps[t] = compileRows(pr.preGroups[dst])
-			words += len(pr.xNeed[dst]) + len(grps[t].rows)
-		}
-		arena := newValArena(words)
-		for t, dst := range dests {
-			pr.sends = append(pr.sends, newSendPlan(pr.id, dst, pr.xNeed[dst], grps[t], arena))
-		}
-		pr.recv = []recvPlan{newRecvPlan(sortedKeys(sendersOf[pr.id]))}
-	}
-	compileRecvX(procs)
-	return &Engine{d: d, procs: procs, fused: true}, nil
+	return &Engine{procs: procs, fused: true}, nil
 }
 
 // compiledGroupRows returns the distinct rows a fold group will ship —
@@ -335,7 +346,7 @@ func compiledGroupRows(nzs []localNZ) []int {
 // partitions: phase 0 ships x entries to nonzero owners, phase 1 ships
 // partial y results to row owners.
 func newTwoPhaseEngine(d *distrib.Distribution) (*Engine, error) {
-	procs := newProcs(d.K, 2)
+	procs := newProcs(d.K)
 
 	type pair struct{ from, to int }
 	xWant := make(map[pair]map[int]struct{})
@@ -358,14 +369,6 @@ func newTwoPhaseEngine(d *distrib.Distribution) (*Engine, error) {
 			pr.preGroups[yOwner] = append(pr.preGroups[yOwner], localNZ{row: i, src: src, val: v})
 		}
 	})
-	xSenders := make(map[int]map[int]struct{})
-	ySenders := make(map[int]map[int]struct{})
-	addSender := func(m map[int]map[int]struct{}, from, to int) {
-		if m[to] == nil {
-			m[to] = make(map[int]struct{})
-		}
-		m[to][from] = struct{}{}
-	}
 	for key, set := range xWant { //spmvlint:unordered per-key independent writes; idxs are sorted before use
 		idxs := make([]int, 0, len(set))
 		for j := range set {
@@ -373,117 +376,59 @@ func newTwoPhaseEngine(d *distrib.Distribution) (*Engine, error) {
 		}
 		sort.Ints(idxs)
 		procs[key.from].xNeed[key.to] = idxs
-		addSender(xSenders, key.from, key.to)
 	}
-	for _, pr := range procs {
-		for dest := range pr.preGroups { //spmvlint:unordered set insertion; commutative
-			addSender(ySenders, pr.id, dest)
-		}
-	}
-	for _, pr := range procs {
-		pr.extX = make([]float64, len(pr.extSlot))
-	}
-
-	// ---- compile the execution plan ----
-	for _, pr := range procs {
-		pr.own = compileRows(pr.ownRows)
-		yDests := sortedKeys(pr.preGroups)
-		grps := make([]rowKernel, len(yDests))
-		words := 0
-		for _, idxs := range pr.xNeed {
-			words += len(idxs)
-		}
-		for t, dst := range yDests {
-			grps[t] = compileRows(pr.preGroups[dst])
-			words += len(grps[t].rows)
-		}
-		arena := newValArena(words)
-		for _, dst := range sortedKeys(pr.xNeed) {
-			pr.sends = append(pr.sends, newSendPlan(pr.id, dst, pr.xNeed[dst], rowKernel{}, arena))
-		}
-		for t, dst := range yDests {
-			pr.ySends = append(pr.ySends, newSendPlan(pr.id, dst, nil, grps[t], arena))
-		}
-		pr.recv = []recvPlan{
-			newRecvPlan(sortedKeys(xSenders[pr.id])),
-			newRecvPlan(sortedKeys(ySenders[pr.id])),
-		}
-	}
-	compileRecvX(procs)
-	return &Engine{d: d, procs: procs, fused: false}, nil
+	return &Engine{procs: procs, fused: false}, nil
 }
 
-// Multiply computes y ← Ax in parallel. x and y must have the matrix's
-// dimensions (mismatches panic: that is a caller bug, not a runtime
-// condition); y is fully overwritten. Steady-state calls spawn no
-// goroutines and allocate nothing: the parked workers execute the
-// compiled plan against the published x and y. Multiply returns a typed
-// *ClosedError after Close and a typed *EngineFaultError once a
-// contained worker panic has poisoned the engine.
-func (e *Engine) Multiply(x, y []float64) error {
-	a := e.d.A
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic("spmv: dimension mismatch")
-	}
-	e.curKern = e.sel.forWidth(1)
-	return e.pool.dispatch(x, y)
-}
-
-// runFused executes one processor's part of the §III algorithm: fill the
-// precompiled [x̂,ŷ] packets (Precompute + Expand-and-Fold), bank the
-// incoming ones in sender order, then run the local Compute kernel.
+// runFused executes one processor's part of the §III algorithm in
+// either direction: fill the precompiled [x̂,ŷ] packets (Precompute +
+// Expand-and-Fold), bank the incoming ones in sender order, then run
+// the local Compute kernel. Under s2D every partial reads local x only.
 //
 //spmv:hotpath
-func (e *Engine) runFused(pr *proc, x, y []float64, kid kernelID) {
+func (e *Engine) runFused(pr *proc, p *plan, x, y []float64, w int, kid kernelID) {
+	in := e.pool.inbox
 	pc := e.phaseClock(pr)
-	for _, sp := range pr.sends {
-		sp.fill(kid, x, pr.extX)
-		e.procs[sp.dest].inbox[0] <- sp.buf
+	for _, sp := range p.sends {
+		sp.fill(kid, x, p.extX, w)
+		in[sp.dest][0] <- sp.buf
 	}
 	pc.lap(&e.pt.expandNs)
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		slots := pr.recvX[pk.from]
-		for t, v := range pk.xVal {
-			pr.extX[slots[t]] = v
-		}
-		for t, i := range pk.yIdx {
-			y[i] += pk.yVal[t] // rows owned exclusively by this proc
-		}
+	for _, pk := range p.recv[0].gather(in[pr.id][0]) {
+		scatterW(p.extX, pk.xVal, p.recvX[pk.from], w)
+		scatterAddW(y, pk.yVal, pk.yIdx, w) // outputs owned exclusively by this proc
 	}
 	pc.lap(&e.pt.foldNs)
-	ownOf(&pr.own, &pr.ownS, kid).addIntoK(kid, y, x, pr.extX)
+	p.own.addIntoK(kid, y, x, p.extX, w, p.acc)
 	pc.lap(&e.pt.computeNs)
 }
 
-// runTwoPhase executes one processor's part of the classic algorithm.
+// runTwoPhase executes one processor's part of the classic algorithm in
+// either direction: expand x, compute, fold the partials.
 //
 //spmv:hotpath
-func (e *Engine) runTwoPhase(pr *proc, x, y []float64, kid kernelID) {
+func (e *Engine) runTwoPhase(pr *proc, p *plan, x, y []float64, w int, kid kernelID) {
+	in := e.pool.inbox
 	pc := e.phaseClock(pr)
 	// Phase 0 — Expand.
-	for _, sp := range pr.sends {
-		sp.fill(kid, x, pr.extX)
-		e.procs[sp.dest].inbox[0] <- sp.buf
+	for _, sp := range p.sends {
+		sp.fill(kid, x, p.extX, w)
+		in[sp.dest][0] <- sp.buf
 	}
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		slots := pr.recvX[pk.from]
-		for t, v := range pk.xVal {
-			pr.extX[slots[t]] = v
-		}
+	for _, pk := range p.recv[0].gather(in[pr.id][0]) {
+		scatterW(p.extX, pk.xVal, p.recvX[pk.from], w)
 	}
 	pc.lap(&e.pt.expandNs)
 	// Multiply.
-	ownOf(&pr.own, &pr.ownS, kid).addIntoK(kid, y, x, pr.extX)
+	p.own.addIntoK(kid, y, x, p.extX, w, p.acc)
 	pc.lap(&e.pt.computeNs)
 	// Phase 1 — Fold.
-	for _, sp := range pr.ySends {
-		sp.fill(kid, x, pr.extX)
-		e.procs[sp.dest].inbox[1] <- sp.buf
+	for _, sp := range p.ySends {
+		sp.fill(kid, x, p.extX, w)
+		in[sp.dest][1] <- sp.buf
 	}
-	for _, pk := range pr.recv[1].gather(pr.inbox[1]) {
-		for t, i := range pk.yIdx {
-			y[i] += pk.yVal[t]
-		}
+	for _, pk := range p.recv[1].gather(in[pr.id][1]) {
+		scatterAddW(y, pk.yVal, pk.yIdx, w)
 	}
 	pc.lap(&e.pt.foldNs)
 }

@@ -20,7 +20,10 @@ import (
 // old diagnosable panic so library callers that race a refcounted Close
 // get an error they can branch on instead of a crash.
 type ClosedError struct {
-	Op string // "Multiply", "MultiplyBlock", "MultiplyTranspose", ...
+	// Op names the call: "Multiply", "MultiplyBlock",
+	// "MultiplyTranspose" or "MultiplyTransposeBlock" (width-1 block
+	// and single-vector Multi calls report the single-vector name).
+	Op string
 }
 
 func (e *ClosedError) Error() string {
@@ -63,10 +66,7 @@ type WorkerFaultHooker interface {
 }
 
 // SetWorkerFaultHook installs h on the engine's worker pool.
-func (e *Engine) SetWorkerFaultHook(h func(worker int)) { e.pool.setHook(h) }
-
-// SetWorkerFaultHook installs h on the routed engine's worker pool.
-func (e *RoutedEngine) SetWorkerFaultHook(h func(worker int)) { e.pool.setHook(h) }
+func (b *base) SetWorkerFaultHook(h func(worker int)) { b.pool.setHook(h) }
 
 // releasePeers floods every other processor's inboxes with one empty
 // packet from worker i. A gather still waiting on the panicked worker's
@@ -78,25 +78,12 @@ func (e *RoutedEngine) SetWorkerFaultHook(h func(worker int)) { e.pool.setHook(h
 // one release packet per phase, so these sends never block. Spurious
 // packets left in buffers are harmless: the engine is poisoned and will
 // never dispatch again.
-func (e *Engine) releasePeers(i int) {
-	for _, pr := range e.procs {
-		if pr.id == i {
+func (p *workerPool) releasePeers(i int) {
+	for j, phases := range p.inbox {
+		if j == i {
 			continue
 		}
-		for _, ch := range pr.inbox {
-			ch <- packet{from: i}
-		}
-	}
-}
-
-// releasePeers is Engine.releasePeers for the routed engine's two-phase
-// inboxes.
-func (e *RoutedEngine) releasePeers(i int) {
-	for _, pr := range e.rprocs {
-		if pr.id == i {
-			continue
-		}
-		for _, ch := range pr.inbox {
+		for _, ch := range phases {
 			ch <- packet{from: i}
 		}
 	}

@@ -1,43 +1,25 @@
 package spmv
 
-// This file is the kernel backend layer: a small set of interchangeable
-// compute implementations behind the four entry points every schedule's
-// run body uses (addInto / fillInto and their nrhs-wide block twins).
-// The compiled plan — packets, index arrays, receive order — is backend-
-// independent; a backend only changes how a rowKernel's slots are walked:
+// This file is the kernel backend layer: two interchangeable compute
+// implementations behind the two entry points every run body uses
+// (addIntoK / fillIntoK). The compiled plan — packets, index arrays,
+// receive order — is backend-independent; a backend only changes how a
+// rowKernel's slots are walked at a given width:
 //
-//   - scalar:     the PR 6 loops, one variable-width run per slot. The
-//                 reference backend; every other non-relaxed backend is
-//                 bitwise identical to it.
-//   - reg:        register-blocked SpMM loops for nrhs ∈ {2, 4, 8}
-//                 (kernel_width.go): fixed-width accumulators live in
-//                 registers and the per-column bounds checks of the
-//                 generic `for c := range acc` loop disappear. Other
-//                 widths fall back to the scalar loops.
-//   - sorted:     the sorted-slot layout (SELL-C-σ spirit): the *own*
-//                 compute kernels are recompiled with slots in descending
-//                 nonzero-count order, so the power-law suite's heavy
-//                 rows run first and the inner-loop trip counts decay
-//                 monotonically. Only whole slots move — within-slot
-//                 summation order is untouched — so results stay bitwise
-//                 identical. Send-group kernels never reorder: packet
-//                 payload order is part of the wire format the receive
-//                 translations were compiled against.
-//   - sortedreg:  sorted layout + register-blocked loops.
-//   - relaxed:    multi-accumulator unrolled loops (kernel_width.go)
-//                 that trade the contractual summation order for ILP.
-//                 Results agree with scalar only to ulp-level tolerance,
-//                 so this backend is never chosen by the autotuner unless
-//                 explicitly admitted (TuneConfig.RelaxedFP) and is kept
-//                 out of the bit-identical serve/coalescing paths.
+//   - scalar: one variable-width run per slot. The reference backend.
+//   - reg:    register-blocked SpMM loops for w ∈ {2, 4, 8}
+//             (kernel_width.go): fixed-width accumulators live in
+//             registers and the per-column bounds checks of the generic
+//             `for c := range acc` loop disappear. Other widths run the
+//             scalar loops. Results are bitwise identical to scalar.
 //
-// Selection is per width class (the nrhs buckets 1, 2, 4, 8, and 0 for
+// Width 1 always runs the single-vector loops, whatever the backend.
+// Selection is per width class (the w buckets 1, 2, 4, 8, and 0 for
 // every other width), held in a kernelSel and resolved once per dispatch
 // — the per-slot inner loops pay no dynamic dispatch.
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -47,26 +29,15 @@ type kernelID uint8
 const (
 	kernScalar kernelID = iota
 	kernReg
-	kernSorted
-	kernSortedReg
-	kernRelaxed
 	numKernels
 )
 
-var kernelNames = [numKernels]string{"scalar", "reg", "sorted", "sortedreg", "relaxed"}
+var kernelNames = [numKernels]string{"scalar", "reg"}
 
 func (k kernelID) String() string { return kernelNames[k] }
 
-// sortedLayout reports whether the backend reads the sorted-slot own
-// kernels instead of the row-ascending ones.
-func (k kernelID) sortedLayout() bool { return k == kernSorted || k == kernSortedReg }
-
-// regBlocked reports whether the backend uses the width-specialized
-// block loops for nrhs ∈ {2, 4, 8}.
-func (k kernelID) regBlocked() bool { return k == kernReg || k == kernSortedReg }
-
-// kernelByName resolves a backend name ("scalar", "reg", "sorted",
-// "sortedreg", "relaxed"), case-sensitively.
+// kernelByName resolves a backend name ("scalar", "reg"),
+// case-sensitively.
 func kernelByName(name string) (kernelID, error) {
 	for id, n := range kernelNames {
 		if n == name {
@@ -85,17 +56,17 @@ func KernelNames() []string {
 	return out
 }
 
-// Width classes: nrhs ∈ {1, 2, 4, 8} each form their own class, every
+// Width classes: w ∈ {1, 2, 4, 8} each form their own class, every
 // other width shares class 0 ("generic"), which always runs the
-// variable-width loops (its backend choice can still flip the layout).
+// variable-width loops.
 const numClasses = 5
 
-// classWidths maps a class index to the nrhs value identifying it
-// publicly (0 = all other widths).
+// classWidths maps a class index to the width identifying it publicly
+// (0 = all other widths).
 var classWidths = [numClasses]int{0, 1, 2, 4, 8}
 
-func classOf(nrhs int) int {
-	switch nrhs {
+func classOf(w int) int {
+	switch w {
 	case 1:
 		return 1
 	case 2:
@@ -109,35 +80,26 @@ func classOf(nrhs int) int {
 }
 
 // kernelSel is the per-width-class backend selection; the zero value
-// selects scalar everywhere, which is exactly the PR 6 behavior.
+// selects scalar everywhere.
 type kernelSel struct {
 	byClass [numClasses]kernelID
 }
 
-func (s *kernelSel) forWidth(nrhs int) kernelID { return s.byClass[classOf(nrhs)] }
-
-func (s *kernelSel) anySorted() bool {
-	for _, kid := range s.byClass {
-		if kid.sortedLayout() {
-			return true
-		}
-	}
-	return false
-}
+func (s *kernelSel) forWidth(w int) kernelID { return s.byClass[classOf(w)] }
 
 // kernelState is the kernel-selection state embedded in both engines:
 // the per-class selection, the backend of the in-flight dispatch
 // (written by the dispatcher before the workers start, so the channel
-// send orders it before any worker read), flags for the lazily derived
-// sorted own kernels, and the last Autotune report.
+// send orders it before any worker read), and the last Autotune report.
 type kernelState struct {
-	sel                kernelSel
-	curKern            kernelID
-	sortedFwd, sortedT bool
-	tuned              *KernelReport
+	sel     kernelSel
+	curKern kernelID
+	tuned   *KernelReport
 }
 
-func (ks *kernelState) kstate() *kernelState { return ks }
+// installKernel selects kid for one width class. It must run with the
+// workers parked (between dispatches).
+func (ks *kernelState) installKernel(class int, kid kernelID) { ks.sel.byClass[class] = kid }
 
 // report returns the engine's current selection: the Autotune verdict
 // when one ran, otherwise a synthetic all-default report.
@@ -158,197 +120,41 @@ func (ks *kernelState) report() KernelReport {
 
 // ---- dispatch ----
 
-// addIntoK is addInto under the given backend.
+// addIntoK accumulates every slot's w values into dst under the given
+// backend: addInto at w = 1, the register-blocked loop where reg has
+// one, the generic block loop otherwise.
 //
 //spmv:hotpath
-func (k *rowKernel) addIntoK(kid kernelID, dst, x, ext []float64) {
-	if kid == kernRelaxed {
-		k.addIntoRelaxed(dst, x, ext)
-		return
-	}
-	k.addInto(dst, x, ext)
-}
-
-// fillIntoK is fillInto under the given backend.
-//
-//spmv:hotpath
-func (k *rowKernel) fillIntoK(kid kernelID, dst, x, ext []float64) {
-	if kid == kernRelaxed {
-		k.fillIntoRelaxed(dst, x, ext)
-		return
-	}
-	k.fillInto(dst, x, ext)
-}
-
-// addIntoBlockK is addIntoBlock under the given backend. Widths without
-// a specialized loop use the generic path, which keeps them bitwise
-// identical to scalar even under reg/relaxed selections.
-//
-//spmv:hotpath
-func (k *rowKernel) addIntoBlockK(kid kernelID, dst, x, ext []float64, nrhs int, acc []float64) {
+func (k *rowKernel) addIntoK(kid kernelID, dst, x, ext []float64, w int, acc []float64) {
 	switch {
-	case kid.regBlocked():
-		switch nrhs {
-		case 2:
-			k.addIntoBlock2(dst, x, ext)
-			return
-		case 4:
-			k.addIntoBlock4(dst, x, ext)
-			return
-		case 8:
-			k.addIntoBlock8(dst, x, ext)
-			return
-		}
-	case kid == kernRelaxed:
-		switch nrhs {
-		case 1:
-			// The nrhs=1 block layout is the single-vector layout, so the
-			// relaxed single loop keeps MultiplyBlock(·, ·, 1) identical to
-			// Multiply under this backend too.
-			k.addIntoRelaxed(dst, x, ext)
-			return
-		case 4:
-			k.addIntoBlock4R(dst, x, ext)
-			return
-		case 8:
-			k.addIntoBlock8R(dst, x, ext)
-			return
-		}
+	case w == 1:
+		k.addInto(dst, x, ext)
+	case kid == kernReg && w == 2:
+		k.addIntoBlock2(dst, x, ext)
+	case kid == kernReg && w == 4:
+		k.addIntoBlock4(dst, x, ext)
+	case kid == kernReg && w == 8:
+		k.addIntoBlock8(dst, x, ext)
+	default:
+		k.addIntoBlock(dst, x, ext, w, acc)
 	}
-	k.addIntoBlock(dst, x, ext, nrhs, acc)
 }
 
-// fillIntoBlockK is fillIntoBlock under the given backend.
+// fillIntoK overwrites dst with every slot's w values under the given
+// backend (see addIntoK).
 //
 //spmv:hotpath
-func (k *rowKernel) fillIntoBlockK(kid kernelID, dst, x, ext []float64, nrhs int) {
+func (k *rowKernel) fillIntoK(kid kernelID, dst, x, ext []float64, w int) {
 	switch {
-	case kid.regBlocked():
-		switch nrhs {
-		case 2:
-			k.fillIntoBlock2(dst, x, ext)
-			return
-		case 4:
-			k.fillIntoBlock4(dst, x, ext)
-			return
-		case 8:
-			k.fillIntoBlock8(dst, x, ext)
-			return
-		}
-	case kid == kernRelaxed:
-		switch nrhs {
-		case 1:
-			k.fillIntoRelaxed(dst, x, ext)
-			return
-		case 4:
-			k.fillIntoBlock4R(dst, x, ext)
-			return
-		case 8:
-			k.fillIntoBlock8R(dst, x, ext)
-			return
-		}
-	}
-	k.fillIntoBlock(dst, x, ext, nrhs)
-}
-
-// ---- sorted-slot layout ----
-
-// sortedByWork recompiles k with its slots reordered by descending
-// nonzero count (ties keep ascending-row order, so the layout is
-// deterministic across rebuilt engines). Whole slots move — each slot's
-// local and external runs are copied verbatim — so every output value
-// is the bitwise-same sum as in the original layout; only the order in
-// which distinct outputs are produced changes. Intended for the *own*
-// compute kernels only: send-group kernels define packet payload order
-// and must never reorder.
-func sortedByWork(k *rowKernel) rowKernel {
-	n := len(k.rows)
-	perm := make([]int, n)
-	for t := range perm {
-		perm[t] = t
-	}
-	work := func(t int) int {
-		return (k.locPtr[t+1] - k.locPtr[t]) + (k.extPtr[t+1] - k.extPtr[t])
-	}
-	// Stable sort on the identity permutation of row-ascending slots:
-	// equal-work slots keep ascending rows.
-	sort.SliceStable(perm, func(a, b int) bool { return work(perm[a]) > work(perm[b]) })
-
-	var s rowKernel
-	s.rows = make([]int, n)
-	s.locPtr = make([]int, n+1)
-	s.extPtr = make([]int, n+1)
-	s.locSrc = make([]int, len(k.locSrc))
-	s.locVal = make([]float64, len(k.locVal))
-	s.extSrc = make([]int, len(k.extSrc))
-	s.extVal = make([]float64, len(k.extVal))
-	for t, p := range perm {
-		s.rows[t] = k.rows[p]
-		s.locPtr[t+1] = s.locPtr[t] + (k.locPtr[p+1] - k.locPtr[p])
-		s.extPtr[t+1] = s.extPtr[t] + (k.extPtr[p+1] - k.extPtr[p])
-		copy(s.locSrc[s.locPtr[t]:s.locPtr[t+1]], k.locSrc[k.locPtr[p]:k.locPtr[p+1]])
-		copy(s.locVal[s.locPtr[t]:s.locPtr[t+1]], k.locVal[k.locPtr[p]:k.locPtr[p+1]])
-		copy(s.extSrc[s.extPtr[t]:s.extPtr[t+1]], k.extSrc[k.extPtr[p]:k.extPtr[p+1]])
-		copy(s.extVal[s.extPtr[t]:s.extPtr[t+1]], k.extVal[k.extPtr[p]:k.extPtr[p+1]])
-	}
-	return s
-}
-
-// ownOf picks the own-compute kernel variant the backend reads.
-func ownOf(flat, sorted *rowKernel, kid kernelID) *rowKernel {
-	if kid.sortedLayout() {
-		return sorted
-	}
-	return flat
-}
-
-// installKernel installs kid for one width class and derives the sorted
-// own kernels the first time a sorted-layout backend is selected. It
-// must run with the workers parked (between dispatches), like every
-// other plan mutation.
-func (e *Engine) installKernel(class int, kid kernelID) {
-	e.sel.byClass[class] = kid
-	if kid.sortedLayout() {
-		e.ensureSorted()
-	}
-}
-
-// ensureSorted derives the sorted-slot variants of every own kernel
-// that exists so far; the transpose variants derive when the transpose
-// plan compiles (see ensureTranspose).
-func (e *Engine) ensureSorted() {
-	if !e.sortedFwd {
-		for _, pr := range e.procs {
-			pr.ownS = sortedByWork(&pr.own)
-		}
-		e.sortedFwd = true
-	}
-	if e.tready && !e.sortedT {
-		for _, pr := range e.procs {
-			pr.t.ownS = sortedByWork(&pr.t.own)
-		}
-		e.sortedT = true
-	}
-}
-
-func (e *RoutedEngine) installKernel(class int, kid kernelID) {
-	e.sel.byClass[class] = kid
-	if kid.sortedLayout() {
-		e.ensureSorted()
-	}
-}
-
-func (e *RoutedEngine) ensureSorted() {
-	if !e.sortedFwd {
-		for _, pr := range e.rprocs {
-			pr.ownS = sortedByWork(&pr.own)
-		}
-		e.sortedFwd = true
-	}
-	if e.tready && !e.sortedT {
-		for _, pr := range e.rprocs {
-			pr.t.ownS = sortedByWork(&pr.t.own)
-		}
-		e.sortedT = true
+	case w == 1:
+		k.fillInto(dst, x, ext)
+	case kid == kernReg && w == 2:
+		k.fillIntoBlock2(dst, x, ext)
+	case kid == kernReg && w == 4:
+		k.fillIntoBlock4(dst, x, ext)
+	case kid == kernReg && w == 8:
+		k.fillIntoBlock8(dst, x, ext)
+	default:
+		k.fillIntoBlock(dst, x, ext, w)
 	}
 }

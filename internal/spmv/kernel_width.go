@@ -1,9 +1,8 @@
 package spmv
 
-// Width-specialized SpMM loops (the "reg" backend) and the opt-in
-// relaxed-FP loops (the "relaxed" backend).
+// Width-specialized SpMM loops (the "reg" backend).
 //
-// The reg loops exist because the generic valueBlock keeps its nrhs
+// The reg loops exist because the generic valueBlock keeps its w
 // accumulators in a scratch slice: every `acc[c] += v * xs[c]` pays a
 // bounds check and a store the compiler cannot hoist, because acc's
 // length is only known at run time. With the width fixed at compile
@@ -12,14 +11,6 @@ package spmv
 // per-column checks. Per column the nonzeros still accumulate in
 // exactly the scalar order — local run then external run, q ascending —
 // so every reg result is bitwise identical to the generic path.
-//
-// The relaxed loops break that contract deliberately: the single-vector
-// loop splits the dot product across four accumulators (q-unrolled) and
-// the width-4/8 block loops across two accumulator sets, recombining at
-// the end. That reassociation buys instruction-level parallelism but
-// changes the rounding, so results only agree with scalar to ulp-level
-// tolerance — which is why the backend is opt-in (TuneConfig.RelaxedFP)
-// and excluded from the bit-identical serve paths by default.
 
 // ---- reg: width 2 ----
 
@@ -198,196 +189,5 @@ func (k *rowKernel) fillIntoBlock8(dst, x, ext []float64) {
 		out[5] = a5
 		out[6] = a6
 		out[7] = a7
-	}
-}
-
-// ---- relaxed: single vector ----
-
-// valueRelaxed is value with the dot product split across four
-// accumulators (4-way q-unroll), recombined as (s0+s2)+(s1+s3). Not
-// bitwise equal to value — ulp-level only.
-func (k *segKernel) valueRelaxed(t int, x, ext []float64) float64 {
-	var s0, s1, s2, s3 float64
-	q, end := k.locPtr[t], k.locPtr[t+1]
-	for ; q+4 <= end; q += 4 {
-		s0 += k.locVal[q] * x[k.locSrc[q]]
-		s1 += k.locVal[q+1] * x[k.locSrc[q+1]]
-		s2 += k.locVal[q+2] * x[k.locSrc[q+2]]
-		s3 += k.locVal[q+3] * x[k.locSrc[q+3]]
-	}
-	for ; q < end; q++ {
-		s0 += k.locVal[q] * x[k.locSrc[q]]
-	}
-	q, end = k.extPtr[t], k.extPtr[t+1]
-	for ; q+4 <= end; q += 4 {
-		s0 += k.extVal[q] * ext[k.extSrc[q]]
-		s1 += k.extVal[q+1] * ext[k.extSrc[q+1]]
-		s2 += k.extVal[q+2] * ext[k.extSrc[q+2]]
-		s3 += k.extVal[q+3] * ext[k.extSrc[q+3]]
-	}
-	for ; q < end; q++ {
-		s0 += k.extVal[q] * ext[k.extSrc[q]]
-	}
-	return (s0 + s2) + (s1 + s3)
-}
-
-func (k *rowKernel) addIntoRelaxed(dst, x, ext []float64) {
-	for t, row := range k.rows {
-		dst[row] += k.valueRelaxed(t, x, ext)
-	}
-}
-
-func (k *rowKernel) fillIntoRelaxed(dst, x, ext []float64) {
-	for t := range k.rows {
-		dst[t] = k.valueRelaxed(t, x, ext)
-	}
-}
-
-// ---- relaxed: width 4 ----
-
-// addIntoBlock4R is addIntoBlock4 with the nonzero run 2-way unrolled
-// over two accumulator sets; ulp-level only.
-func (k *rowKernel) addIntoBlock4R(dst, x, ext []float64) {
-	for t, row := range k.rows {
-		a0, a1, a2, a3, b0, b1, b2, b3 := k.valueBlock4R(t, x, ext)
-		out := dst[row*4 : row*4+4]
-		out[0] += a0 + b0
-		out[1] += a1 + b1
-		out[2] += a2 + b2
-		out[3] += a3 + b3
-	}
-}
-
-func (k *rowKernel) fillIntoBlock4R(dst, x, ext []float64) {
-	for t := range k.rows {
-		a0, a1, a2, a3, b0, b1, b2, b3 := k.valueBlock4R(t, x, ext)
-		out := dst[t*4 : t*4+4]
-		out[0] = a0 + b0
-		out[1] = a1 + b1
-		out[2] = a2 + b2
-		out[3] = a3 + b3
-	}
-}
-
-func (k *rowKernel) valueBlock4R(t int, x, ext []float64) (a0, a1, a2, a3, b0, b1, b2, b3 float64) {
-	q, end := k.locPtr[t], k.locPtr[t+1]
-	for ; q+2 <= end; q += 2 {
-		v, w := k.locVal[q], k.locVal[q+1]
-		xs := x[k.locSrc[q]*4 : k.locSrc[q]*4+4]
-		ys := x[k.locSrc[q+1]*4 : k.locSrc[q+1]*4+4]
-		a0 += v * xs[0]
-		a1 += v * xs[1]
-		a2 += v * xs[2]
-		a3 += v * xs[3]
-		b0 += w * ys[0]
-		b1 += w * ys[1]
-		b2 += w * ys[2]
-		b3 += w * ys[3]
-	}
-	for ; q < end; q++ {
-		v := k.locVal[q]
-		xs := x[k.locSrc[q]*4 : k.locSrc[q]*4+4]
-		a0 += v * xs[0]
-		a1 += v * xs[1]
-		a2 += v * xs[2]
-		a3 += v * xs[3]
-	}
-	q, end = k.extPtr[t], k.extPtr[t+1]
-	for ; q+2 <= end; q += 2 {
-		v, w := k.extVal[q], k.extVal[q+1]
-		xs := ext[k.extSrc[q]*4 : k.extSrc[q]*4+4]
-		ys := ext[k.extSrc[q+1]*4 : k.extSrc[q+1]*4+4]
-		a0 += v * xs[0]
-		a1 += v * xs[1]
-		a2 += v * xs[2]
-		a3 += v * xs[3]
-		b0 += w * ys[0]
-		b1 += w * ys[1]
-		b2 += w * ys[2]
-		b3 += w * ys[3]
-	}
-	for ; q < end; q++ {
-		v := k.extVal[q]
-		xs := ext[k.extSrc[q]*4 : k.extSrc[q]*4+4]
-		a0 += v * xs[0]
-		a1 += v * xs[1]
-		a2 += v * xs[2]
-		a3 += v * xs[3]
-	}
-	return
-}
-
-// ---- relaxed: width 8 ----
-
-// addIntoBlock8R is addIntoBlock8 with the nonzero run 2-way unrolled
-// over two accumulator sets; ulp-level only.
-func (k *rowKernel) addIntoBlock8R(dst, x, ext []float64) {
-	var a, b [8]float64
-	for t, row := range k.rows {
-		k.valueBlock8R(t, x, ext, &a, &b)
-		out := dst[row*8 : row*8+8]
-		out[0] += a[0] + b[0]
-		out[1] += a[1] + b[1]
-		out[2] += a[2] + b[2]
-		out[3] += a[3] + b[3]
-		out[4] += a[4] + b[4]
-		out[5] += a[5] + b[5]
-		out[6] += a[6] + b[6]
-		out[7] += a[7] + b[7]
-	}
-}
-
-func (k *rowKernel) fillIntoBlock8R(dst, x, ext []float64) {
-	var a, b [8]float64
-	for t := range k.rows {
-		k.valueBlock8R(t, x, ext, &a, &b)
-		out := dst[t*8 : t*8+8]
-		out[0] = a[0] + b[0]
-		out[1] = a[1] + b[1]
-		out[2] = a[2] + b[2]
-		out[3] = a[3] + b[3]
-		out[4] = a[4] + b[4]
-		out[5] = a[5] + b[5]
-		out[6] = a[6] + b[6]
-		out[7] = a[7] + b[7]
-	}
-}
-
-func (k *rowKernel) valueBlock8R(t int, x, ext []float64, a, b *[8]float64) {
-	*a = [8]float64{}
-	*b = [8]float64{}
-	q, end := k.locPtr[t], k.locPtr[t+1]
-	for ; q+2 <= end; q += 2 {
-		v, w := k.locVal[q], k.locVal[q+1]
-		xs := x[k.locSrc[q]*8 : k.locSrc[q]*8+8]
-		ys := x[k.locSrc[q+1]*8 : k.locSrc[q+1]*8+8]
-		for c := 0; c < 8; c++ {
-			a[c] += v * xs[c]
-			b[c] += w * ys[c]
-		}
-	}
-	for ; q < end; q++ {
-		v := k.locVal[q]
-		xs := x[k.locSrc[q]*8 : k.locSrc[q]*8+8]
-		for c := 0; c < 8; c++ {
-			a[c] += v * xs[c]
-		}
-	}
-	q, end = k.extPtr[t], k.extPtr[t+1]
-	for ; q+2 <= end; q += 2 {
-		v, w := k.extVal[q], k.extVal[q+1]
-		xs := ext[k.extSrc[q]*8 : k.extSrc[q]*8+8]
-		ys := ext[k.extSrc[q+1]*8 : k.extSrc[q+1]*8+8]
-		for c := 0; c < 8; c++ {
-			a[c] += v * xs[c]
-			b[c] += w * ys[c]
-		}
-	}
-	for ; q < end; q++ {
-		v := k.extVal[q]
-		xs := ext[k.extSrc[q]*8 : k.extSrc[q]*8+8]
-		for c := 0; c < 8; c++ {
-			a[c] += v * xs[c]
-		}
 	}
 }

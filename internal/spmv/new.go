@@ -66,18 +66,17 @@ func New(b method.Build) (Multiplier, error) {
 }
 
 // NewTuned is New followed by Autotune wired from the method options:
-// opt.ForceKernel forces one backend, opt.RelaxedFP admits the relaxed
-// candidates, and when opt.Pipeline is set the tuner decisions memoize
-// there keyed by (matrix, method, K, seed, epsilon, width-class) — so a
-// K-sweep or a rebuilt serve engine tunes once per key and every later
-// build installs the cached winners without re-probing. The engine is
-// closed on tuning failure.
+// opt.ForceKernel forces one backend, and when opt.Pipeline is set the
+// tuner decisions memoize there keyed by (matrix, method, K, seed,
+// epsilon, width-class) — so a K-sweep or a rebuilt serve engine tunes
+// once per key and every later build installs the cached winners
+// without re-probing. The engine is closed on tuning failure.
 func NewTuned(b method.Build, opt method.Options) (Multiplier, KernelReport, error) {
 	m, err := New(b)
 	if err != nil {
 		return nil, KernelReport{}, err
 	}
-	cfg := TuneConfig{Force: opt.ForceKernel, RelaxedFP: opt.RelaxedFP}
+	cfg := TuneConfig{Force: opt.ForceKernel}
 	if opt.Pipeline != nil {
 		cfg.Cache = opt.Pipeline.KernelCache(b.Dist.A, b.Method, b.Dist.K, opt.Seed, opt.Epsilon)
 	}

@@ -18,12 +18,16 @@ import (
 //     slot has one run of local-x nonzeros and one run of external-x
 //     nonzeros, so the inner loops never test the sign-encoded src that
 //     localNZ uses at build time.
-//   - sendPlan: a packet with fixed index arrays built once; only the
-//     value arrays (carved from a per-proc valArena) are refilled per
-//     call.
+//   - sendPlan / fwdPlan: a packet with fixed index arrays built once;
+//     only the value arrays are refilled per call.
 //   - recvPlan: fixes the fold order of incoming packets by sender
 //     ordinal, making y accumulation bitwise-deterministic run-to-run
 //     even though channel arrival order is not.
+//
+// Every value buffer holds w values per index in the column-blocked
+// layout (column c of index i at buf[i*w+c]) for the width w of the
+// current call; w = 1 is the single-vector layout, and every helper
+// below routes it onto the plain scalar loops.
 
 // segKernel is a pair of CSR-style nonzero runs per output slot t:
 // a local run reading x directly and an external run reading the
@@ -51,28 +55,27 @@ func (k *segKernel) value(t int, x, ext []float64) float64 {
 	return s
 }
 
-// valueBlock computes slot t's contribution for all nrhs columns into
-// acc[0:nrhs]. x and ext use the column-blocked layout: the value of
-// source j for column c sits at x[j*nrhs+c]. Per column, the nonzeros
-// accumulate in exactly the order value uses, so nrhs=1 reproduces the
-// single-vector result bit for bit.
+// valueBlock computes slot t's contribution for all w columns into
+// acc[0:w]. x and ext use the column-blocked layout. Per column, the
+// nonzeros accumulate in exactly the order value uses, so every column
+// reproduces the single-vector result bit for bit.
 //
 //spmv:hotpath
-func (k *segKernel) valueBlock(t int, x, ext []float64, nrhs int, acc []float64) {
-	acc = acc[:nrhs]
+func (k *segKernel) valueBlock(t int, x, ext []float64, w int, acc []float64) {
+	acc = acc[:w]
 	for c := range acc {
 		acc[c] = 0
 	}
 	for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
 		v := k.locVal[q]
-		xs := x[k.locSrc[q]*nrhs:]
+		xs := x[k.locSrc[q]*w:]
 		for c := range acc {
 			acc[c] += v * xs[c]
 		}
 	}
 	for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
 		v := k.extVal[q]
-		xs := ext[k.extSrc[q]*nrhs:]
+		xs := ext[k.extSrc[q]*w:]
 		for c := range acc {
 			acc[c] += v * xs[c]
 		}
@@ -105,29 +108,29 @@ func (k *rowKernel) fillInto(dst, x, ext []float64) {
 	}
 }
 
-// addIntoBlock is the nrhs-wide addInto over column-blocked buffers: each
-// slot's nrhs values accumulate in acc (scratch, len >= nrhs) and are then
-// added to dst[rows[t]*nrhs : ...]. Going through acc keeps the per-column
+// addIntoBlock is the w-wide addInto over column-blocked buffers: each
+// slot's w values accumulate in acc (scratch, len >= w) and are then
+// added to dst[rows[t]*w : ...]. Going through acc keeps the per-column
 // floating-point order identical to value(), not just close.
 //
 //spmv:hotpath
-func (k *rowKernel) addIntoBlock(dst, x, ext []float64, nrhs int, acc []float64) {
+func (k *rowKernel) addIntoBlock(dst, x, ext []float64, w int, acc []float64) {
 	for t, row := range k.rows {
-		k.valueBlock(t, x, ext, nrhs, acc)
-		out := dst[row*nrhs : (row+1)*nrhs]
+		k.valueBlock(t, x, ext, w, acc)
+		out := dst[row*w : (row+1)*w]
 		for c := range out {
 			out[c] += acc[c]
 		}
 	}
 }
 
-// fillIntoBlock is the nrhs-wide fillInto: slot t's nrhs values overwrite
-// dst[t*nrhs : (t+1)*nrhs] (a block packet's yVal buffer).
+// fillIntoBlock is the w-wide fillInto: slot t's w values overwrite
+// dst[t*w : (t+1)*w] (a packet's yVal buffer).
 //
 //spmv:hotpath
-func (k *rowKernel) fillIntoBlock(dst, x, ext []float64, nrhs int) {
+func (k *rowKernel) fillIntoBlock(dst, x, ext []float64, w int) {
 	for t := range k.rows {
-		k.valueBlock(t, x, ext, nrhs, dst[t*nrhs:(t+1)*nrhs])
+		k.valueBlock(t, x, ext, w, dst[t*w:(t+1)*w])
 	}
 }
 
@@ -191,80 +194,59 @@ func compileRows(nzs []localNZ) rowKernel {
 	return k
 }
 
-// valArena carves fixed float64 buffers for a proc's packet values out of
-// one backing allocation. Sizing happens in a counting pass before any
-// take.
-type valArena struct{ buf []float64 }
+// valArena carves one plan's packet payloads out of a single backing
+// array, so a processor's outgoing values stay contiguous in memory (and
+// apart from the buffers it writes while peers read them). Re-carving for a width
+// the array already covers allocates nothing, so alternating between a
+// large and a small width allocates only once. A packet keeps its fixed
+// index arrays at every width: a multi-RHS multiply still emits exactly
+// one packet per peer per phase.
+type valArena struct{ mem, free []float64 }
 
-func newValArena(n int) *valArena { return &valArena{buf: make([]float64, n)} }
+// reset readies the arena to carve n values in total.
+func (a *valArena) reset(n int) {
+	if cap(a.mem) < n {
+		a.mem = make([]float64, n)
+	}
+	a.free = a.mem[:n]
+}
 
 func (a *valArena) take(n int) []float64 {
-	s := a.buf[:n:n]
-	a.buf = a.buf[n:]
+	s := a.free[:n:n]
+	a.free = a.free[n:]
 	return s
 }
 
-// sendPlan is one precompiled outgoing packet: fixed destination and index
-// arrays, value buffers refilled per call. The packet's yIdx aliases
-// grp.rows. bufB is the packet's nrhs-wide twin, sized lazily by
-// ensureBlock and sharing the same fixed index arrays — a multi-RHS
-// multiply still emits exactly one packet per peer per phase.
-type sendPlan struct {
-	dest int
-	xIdx []int
-	grp  rowKernel
-	buf  packet
-	bufB packet
+// words is the number of values the packet carries per unit of width.
+func (pk *packet) words() int { return len(pk.xIdx) + len(pk.yIdx) }
+
+// carve gives the packet its value arrays for width w.
+func (pk *packet) carve(a *valArena, w int) {
+	pk.xVal = a.take(len(pk.xIdx) * w)
+	pk.yVal = a.take(len(pk.yIdx) * w)
 }
 
-func newSendPlan(from, dest int, xIdx []int, grp rowKernel, arena *valArena) *sendPlan {
-	sp := &sendPlan{dest: dest, xIdx: xIdx, grp: grp}
-	sp.buf = packet{
-		from: from,
-		xIdx: xIdx,
-		xVal: arena.take(len(xIdx)),
-		yIdx: grp.rows,
-		yVal: arena.take(len(grp.rows)),
-	}
-	return sp
+// sendPlan is one precompiled outgoing packet computed from the caller's
+// x: the x entries at buf.xIdx plus grp's partials for the rows at
+// buf.yIdx (which aliases grp.rows).
+type sendPlan struct {
+	dest int
+	grp  rowKernel
+	buf  packet
+}
+
+func newSendPlan(from, dest int, xIdx []int, grp rowKernel) *sendPlan {
+	return &sendPlan{dest: dest, grp: grp, buf: packet{from: from, xIdx: xIdx, yIdx: grp.rows}}
 }
 
 // fill refreshes the packet's value arrays from the current x (and the
 // proc's external buffer for two-phase fold groups) under the given
-// kernel backend. Send groups never use the sorted layout — their slot
-// order is the packet payload order the receivers were compiled against
-// — so kid only selects between the scalar and relaxed loops here.
+// kernel backend.
 //
 //spmv:hotpath
-func (sp *sendPlan) fill(kid kernelID, x, ext []float64) {
-	for t, j := range sp.xIdx {
-		sp.buf.xVal[t] = x[j]
-	}
-	sp.grp.fillIntoK(kid, sp.buf.yVal, x, ext)
-}
-
-// ensureBlock (re)sizes the nrhs-wide packet buffers. Growth reallocates;
-// shrinking re-slices the existing backing arrays, so alternating between
-// a large and a small nrhs allocates only once.
-func (sp *sendPlan) ensureBlock(nrhs int) {
-	sp.bufB = packet{
-		from: sp.buf.from,
-		xIdx: sp.xIdx,
-		xVal: growBlock(sp.bufB.xVal, len(sp.xIdx)*nrhs),
-		yIdx: sp.grp.rows,
-		yVal: growBlock(sp.bufB.yVal, len(sp.grp.rows)*nrhs),
-	}
-}
-
-// fillBlock refreshes the nrhs-wide packet from column-blocked x/ext
-// under the given kernel backend (see fill for the layout caveat).
-//
-//spmv:hotpath
-func (sp *sendPlan) fillBlock(kid kernelID, x, ext []float64, nrhs int) {
-	for t, j := range sp.xIdx {
-		copy(sp.bufB.xVal[t*nrhs:(t+1)*nrhs], x[j*nrhs:(j+1)*nrhs])
-	}
-	sp.grp.fillIntoBlockK(kid, sp.bufB.yVal, x, ext, nrhs)
+func (sp *sendPlan) fill(kid kernelID, x, ext []float64, w int) {
+	gatherW(sp.buf.xVal, x, sp.buf.xIdx, w)
+	sp.grp.fillIntoK(kid, sp.buf.yVal, x, ext, w)
 }
 
 // growBlock returns s re-sliced to n entries, reallocating only when the
@@ -274,6 +256,95 @@ func growBlock(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
+}
+
+// ---- w-wide copy loops ----
+//
+// The run bodies move values between packets and buffers only through
+// these helpers. Loops that read a received packet range over its
+// payload, not over the receiver's slot table: a fault-containment
+// release packet (fault.go) carries no payload and must be read as a
+// no-op.
+
+// gatherW sets dst[t] = src[idx[t]] for every t.
+//
+//spmv:hotpath
+func gatherW(dst, src []float64, idx []int, w int) {
+	if w == 1 {
+		for t, i := range idx {
+			dst[t] = src[i]
+		}
+		return
+	}
+	for t, i := range idx {
+		copy(dst[t*w:(t+1)*w], src[i*w:(i+1)*w])
+	}
+}
+
+// scatterW sets dst[idx[t]] = src[t] for every entry of src.
+//
+//spmv:hotpath
+func scatterW(dst, src []float64, idx []int, w int) {
+	if w == 1 {
+		for t, v := range src {
+			dst[idx[t]] = v
+		}
+		return
+	}
+	for t := range len(src) / w {
+		copy(dst[idx[t]*w:(idx[t]+1)*w], src[t*w:(t+1)*w])
+	}
+}
+
+// scatterAddW adds src[t] into dst[idx[t]] for every entry of src.
+//
+//spmv:hotpath
+func scatterAddW(dst, src []float64, idx []int, w int) {
+	if w == 1 {
+		for t, v := range src {
+			dst[idx[t]] += v
+		}
+		return
+	}
+	for t := range len(src) / w {
+		out := dst[idx[t]*w : (idx[t]+1)*w]
+		for c, v := range src[t*w : (t+1)*w] {
+			out[c] += v
+		}
+	}
+}
+
+// copyPairsW sets dst[dIdx[t]] = src[sIdx[t]] for every t.
+//
+//spmv:hotpath
+func copyPairsW(dst []float64, dIdx []int, src []float64, sIdx []int, w int) {
+	if w == 1 {
+		for t, d := range dIdx {
+			dst[d] = src[sIdx[t]]
+		}
+		return
+	}
+	for t, d := range dIdx {
+		copy(dst[d*w:(d+1)*w], src[sIdx[t]*w:(sIdx[t]+1)*w])
+	}
+}
+
+// addPairsW adds src[sIdx[t]] into dst[dIdx[t]] for every t.
+//
+//spmv:hotpath
+func addPairsW(dst []float64, dIdx []int, src []float64, sIdx []int, w int) {
+	if w == 1 {
+		for t, d := range dIdx {
+			dst[d] += src[sIdx[t]]
+		}
+		return
+	}
+	for t, d := range dIdx {
+		out := dst[d*w : (d+1)*w]
+		for c, v := range src[sIdx[t]*w : (sIdx[t]+1)*w] {
+			out[c] += v
+		}
+	}
 }
 
 // recvPlan stashes one phase's incoming packets by sender ordinal so they
@@ -333,24 +404,37 @@ func sortedKeys[V any](m map[int]V) []int {
 	return slices.Sorted(maps.Keys(m))
 }
 
+// dir selects the operator a multiply applies: y ← Ax or y ← Aᵀx.
+type dir uint8
+
+const (
+	fwd   dir = iota // y ← Ax
+	trans            // y ← Aᵀx
+)
+
 // workerPool is the persistent-worker barrier shared by Engine and
 // RoutedEngine: K goroutines parked on per-worker start channels, a
-// WaitGroup to collect them, and the per-call x/y (plus the block width
-// for multi-RHS calls and the transpose direction) published through the
-// pool. dispatch performs no heap allocations.
+// WaitGroup to collect them, the per-phase packet inboxes, and the
+// per-call direction, vectors and width published through the pool.
+// dispatch performs no heap allocations.
 //
 // A panic inside a worker is contained, not fatal: the worker records it,
-// calls release(i) so its peers' gathers complete (see fault.go), and the
-// dispatch returns a typed *EngineFaultError with the pool poisoned
-// against further dispatches.
+// releases its peers' gathers (see fault.go), and the dispatch returns a
+// typed *EngineFaultError with the pool poisoned against further
+// dispatches.
 type workerPool struct {
+	d         dir
 	x, y      []float64
-	nrhs      int  // 0 = single-vector call, >0 = column-blocked SpMM
-	transpose bool // run the y ← Aᵀx plan instead of y ← Ax
+	w         int
 	start     []chan struct{}
 	done      sync.WaitGroup
 	closeOnce sync.Once
 	closed    atomic.Bool
+
+	// inbox[i][ph] is worker i's inbox for phase ph. One inbox per phase:
+	// a fast sender must not inject a later-phase packet into an earlier
+	// receive loop.
+	inbox [][]chan packet
 
 	// hook wraps an injectable per-worker fault hook (see
 	// WorkerFaultHooker); stored boxed because atomic.Value cannot hold a
@@ -366,19 +450,25 @@ type hookBox struct{ f func(worker int) }
 
 func (p *workerPool) setHook(h func(worker int)) { p.hook.Store(hookBox{f: h}) }
 
-// launch spawns n workers; each waits for a start signal, executes run
-// with the published vectors (nrhs = 0 for Multiply, the block width for
-// MultiplyBlock; transpose selects the Aᵀx plan), and reports done.
-// release, when non-nil, is invoked after a contained worker panic to
-// unblock the panicked worker's peers.
-func (p *workerPool) launch(n int, run func(i int, x, y []float64, nrhs int, transpose bool), release func(i int)) {
+// launch creates the inboxes and spawns n workers; each waits for a
+// start signal, executes run with the published call, and reports done.
+func (p *workerPool) launch(n, phases int, run func(i int, d dir, x, y []float64, w int)) {
+	p.inbox = make([][]chan packet, n)
 	p.start = make([]chan struct{}, n)
 	for i := 0; i < n; i++ {
+		p.inbox[i] = make([]chan packet, phases)
+		for ph := range p.inbox[i] {
+			// Capacity 2n: sends never block, so no deadlock between
+			// mutually waiting processors — even when fault containment
+			// floods one release packet per worker on top of the at most
+			// one real packet per sender per phase (see fault.go).
+			p.inbox[i][ph] = make(chan packet, 2*n)
+		}
 		ch := make(chan struct{}, 1)
 		p.start[i] = ch
 		go func(i int, ch chan struct{}) {
 			for range ch {
-				p.runContained(i, run, release)
+				p.runContained(i, run)
 				p.done.Done()
 			}
 		}(i, ch)
@@ -390,22 +480,20 @@ func (p *workerPool) launch(n int, run func(i int, x, y []float64, nrhs int, tra
 // pool is poisoned, and the worker's peers are released so the dispatch
 // barrier still closes. The worker goroutine itself survives, parked for
 // Close.
-func (p *workerPool) runContained(i int, run func(i int, x, y []float64, nrhs int, transpose bool), release func(i int)) {
+func (p *workerPool) runContained(i int, run func(i int, d dir, x, y []float64, w int)) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.recordFault(i, r)
-			if release != nil {
-				// release must not take the barrier down with a secondary
-				// panic; the engine is already poisoned.
-				defer func() { _ = recover() }()
-				release(i)
-			}
+			// release must not take the barrier down with a secondary
+			// panic; the engine is already poisoned.
+			defer func() { _ = recover() }()
+			p.releasePeers(i)
 		}
 	}()
 	if hb, ok := p.hook.Load().(hookBox); ok && hb.f != nil {
 		hb.f(i)
 	}
-	run(i, p.x, p.y, p.nrhs, p.transpose)
+	run(i, p.d, p.x, p.y, p.w)
 }
 
 // recordFault notes a contained worker panic and poisons the pool before
@@ -429,57 +517,47 @@ func (p *workerPool) faultErr(op string) error {
 	return &EngineFaultError{Op: op, Panics: panics}
 }
 
-// opName names the dispatch variant for error messages.
-func opName(nrhs int, transpose bool) string {
+// opName names the dispatch variant for error messages. Width 1 is the
+// single-vector call — MultiplyBlock(X, Y, 1) is Multiply by contract.
+func opName(d dir, w int) string {
 	switch {
-	case transpose && nrhs > 0:
+	case d == trans && w > 1:
 		return "MultiplyTransposeBlock"
-	case transpose:
+	case d == trans:
 		return "MultiplyTranspose"
-	case nrhs > 0:
+	case w > 1:
 		return "MultiplyBlock"
 	default:
 		return "Multiply"
 	}
 }
 
-// dispatch zeroes y, publishes the vectors, releases every worker, and
-// waits for all of them to finish.
-func (p *workerPool) dispatch(x, y []float64) error {
-	return p.dispatchOp(x, y, 0, false)
-}
-
-// dispatchBlock is dispatch with a published block width; nrhs = 0 runs
-// the single-vector plan.
-func (p *workerPool) dispatchBlock(x, y []float64, nrhs int) error {
-	return p.dispatchOp(x, y, nrhs, false)
-}
-
-// dispatchOp is the general dispatch: block width plus direction. It
-// returns *ClosedError after Close, and *EngineFaultError once a worker
-// panic has poisoned the pool — before running anything, so a poisoned
-// plan never executes over corrupted buffers.
-func (p *workerPool) dispatchOp(x, y []float64, nrhs int, transpose bool) error {
+// dispatch zeroes y, publishes the call, releases every worker, and
+// waits for all of them to finish. It returns *ClosedError after Close,
+// and *EngineFaultError once a worker panic has poisoned the pool —
+// before running anything, so a poisoned plan never executes over
+// corrupted buffers.
+func (p *workerPool) dispatch(d dir, x, y []float64, w int) error {
 	if p.closed.Load() {
 		// A sharing layer (refcounted pools, pipelines) that races Multiply
 		// against Close gets a typed error instead of the runtime's
 		// "send on closed channel" panic.
-		return &ClosedError{Op: opName(nrhs, transpose)}
+		return &ClosedError{Op: opName(d, w)}
 	}
-	if err := p.faultErr(opName(nrhs, transpose)); err != nil {
+	if err := p.faultErr(opName(d, w)); err != nil {
 		return err
 	}
 	for i := range y {
 		y[i] = 0
 	}
-	p.x, p.y, p.nrhs, p.transpose = x, y, nrhs, transpose
+	p.d, p.x, p.y, p.w = d, x, y, w
 	p.done.Add(len(p.start))
 	for _, ch := range p.start {
 		ch <- struct{}{}
 	}
 	p.done.Wait()
 	p.x, p.y = nil, nil
-	return p.faultErr(opName(nrhs, transpose))
+	return p.faultErr(opName(d, w))
 }
 
 // close releases the parked workers permanently; dispatch must not be

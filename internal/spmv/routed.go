@@ -21,27 +21,9 @@ import (
 // precompiled forward packets — and executes it on persistent workers, so
 // steady-state Multiply is allocation- and goroutine-spawn-free.
 type RoutedEngine struct {
-	d    *distrib.Distribution
-	mesh core.Mesh
-
+	base
+	mesh   core.Mesh
 	rprocs []*rproc
-	pool   workerPool
-
-	// Per-width-class kernel backend selection and the lazily derived
-	// sorted layouts (see kernel.go, autotune.go). The zero value runs
-	// the scalar reference kernels everywhere.
-	kernelState
-
-	// blockNRHS is the width the block buffers are currently sliced for
-	// (0 until the first MultiplyBlock); see ensureBlock in block.go.
-	blockNRHS int
-	io        blockIO
-
-	// tready flips once the transpose plan is compiled (lazily, by the
-	// first MultiplyTranspose); tBlockNRHS is blockNRHS's transpose twin.
-	// See routed_transpose.go.
-	tready     bool
-	tBlockNRHS int
 }
 
 type rproc struct {
@@ -61,75 +43,105 @@ type rproc struct {
 	phase2Dests map[int]struct{}
 
 	extSlot map[int]int
-	extX    []float64
 
-	inbox [2]chan packet
-
-	// Compiled plan. The routing state that used to live in per-call maps
-	// (routeX, routeY) is laid out densely: every x index this proc ever
-	// routes and every y row it ever combines has a fixed slot. ownS is
-	// own's sorted-slot twin, derived lazily once a sorted-layout backend
-	// is installed.
-	own       rowKernel
-	ownS      rowKernel
-	routeXVal []float64
-	routeYVal []float64
-	// selfX seeds routeXVal with locally-owned entries this proc forwards
-	// as its own intermediate; selfY accumulates self-routed partials into
-	// routeYVal slots.
-	selfX []slotIdx
-	selfY rowKernel
-	// Phase-1 packets to other intermediates, sorted by destination.
-	p1Sends []*sendPlan
-	// p1Recv[sender] translates that sender's fixed payload into routeXVal
-	// (and extX where this proc is the final consumer) and routeYVal slots.
-	p1Recv map[int]*routeRecv
-	// Phase-2 forwards, sorted by destination: values gathered from the
-	// dense routing buffers.
-	p2Sends []*fwdPlan
-	// p2Recv[sender] maps the t-th forwarded x entry to an extX slot.
-	p2Recv map[int][]int
-	// Rows whose final owner is this proc, folded straight from routeYVal.
-	yLocalRows []int
-	yLocalSlot []int
-	recv       [2]recvPlan
-
-	// Block (multi-RHS) twins of the per-call buffers, sized lazily by
-	// RoutedEngine.ensureBlock: nrhs values per slot of extX and the dense
-	// routing buffers, plus the block kernels' accumulator scratch.
-	extXB      []float64
-	routeXValB []float64
-	routeYValB []float64
-	accB       []float64
-
-	// Dense slot layouts retained from compile so the transpose plan can
-	// address the routing buffers: xSlot maps a routed x column index to
-	// its routeXVal slot, ySlot a combined y row to its routeYVal slot.
+	// Dense slot layouts of the routing buffers: xSlot maps a routed x
+	// column index to its column-space slot, ySlot a combined y row to
+	// its row-space slot. Every x index this proc ever routes and every
+	// y row it ever combines has a fixed slot.
 	xSlot map[int]int
 	ySlot map[int]int
+	// route[colSpace] and route[rowSpace] are the dense routing buffers,
+	// sliced for the call's width. The forward plan carries x values in
+	// the column space and combines partials in the row space; the
+	// transpose swaps the roles. Calls on one engine never overlap, so
+	// both directions share the buffers.
+	route [2][]float64
 
-	// Compiled transpose plan (y ← Aᵀx), built lazily on the first
-	// MultiplyTranspose; see routed_transpose.go.
-	t *rtproc
+	// plans[fwd] is compiled at construction, plans[trans] on the first
+	// transpose multiply (see routed_transpose.go).
+	plans [2]*rplan
 }
 
-type slotIdx struct{ slot, idx int }
+// Routing-buffer spaces (see rproc.route).
+const (
+	colSpace = 0
+	rowSpace = 1
+)
 
-type routeRecv struct {
-	xRoute []int
-	xExt   []int // extX slot or -1
-	ySlot  []int
+// rplan is one processor's compiled two-hop schedule in one direction.
+// The routed transpose is the forward route reversed edge for edge, so
+// both directions compile to this one type and run through runRouted.
+type rplan struct {
+	// carry is the routing-buffer space holding routed x values, comb
+	// the one combining partials en route.
+	carry, comb int
+
+	// seedSlot/seedIdx: locally-owned x entries this proc routes as its
+	// own intermediate, carry[seedSlot[t]] = x[seedIdx[t]].
+	seedSlot, seedIdx []int
+	// self accumulates partials routed through this proc itself straight
+	// into comb; its rows are comb slots. It reads local x only.
+	self rowKernel
+	// Phase-1 packets to the intermediates, sorted by destination.
+	hop1 []*sendPlan
+	// hop1Recv[sender] translates that sender's fixed payload: x entries
+	// into carry slots, partials combined into comb slots.
+	hop1Recv map[int]hopRecv
+	// extSlot/extFrom: routed x values this proc consumes itself,
+	// extX[extSlot[t]] = carry[extFrom[t]] once phase 1 is in.
+	extSlot, extFrom []int
+	// Phase-2 forwards, sorted by destination: values gathered from the
+	// routing buffers.
+	hop2 []*fwdPlan
+	// hop2Recv[sender] maps the t-th forwarded x entry to an extX slot.
+	hop2Recv map[int][]int
+	// foldRow/foldSlot: outputs this proc owns whose combined partials
+	// sit in comb, y[foldRow[t]] += comb[foldSlot[t]].
+	foldRow, foldSlot []int
+	// own computes the locally-owned outputs.
+	own  rowKernel
+	recv [2]recvPlan
+
+	// Per-call buffers, sized by resize for the call's width; vals holds
+	// the packet payloads.
+	nExt int
+	extX []float64
+	acc  []float64
+	vals valArena
+}
+
+// hopRecv is the slot translation of one phase-1 sender's payload.
+type hopRecv struct {
+	x, y []int
 }
 
 // fwdPlan is a precompiled phase-2 packet: fixed index arrays, values
-// gathered from the sender's dense routing buffers each call. bufB is the
-// nrhs-wide twin sized by ensureBlock.
+// gathered from the sender's dense routing buffers each call.
 type fwdPlan struct {
 	dest  int
 	xSlot []int
 	ySlot []int
 	buf   packet
-	bufB  packet
+}
+
+// resize sizes every per-call buffer of the plan for width w.
+func (p *rplan) resize(w int) {
+	p.extX = growBlock(p.extX, p.nExt*w)
+	p.acc = growBlock(p.acc, w)
+	n := 0
+	for _, sp := range p.hop1 {
+		n += sp.buf.words()
+	}
+	for _, fp := range p.hop2 {
+		n += fp.buf.words()
+	}
+	p.vals.reset(n * w)
+	for _, sp := range p.hop1 {
+		sp.buf.carve(&p.vals, w)
+	}
+	for _, fp := range p.hop2 {
+		fp.buf.carve(&p.vals, w)
+	}
 }
 
 // NewRoutedEngine builds the two-hop schedule for a fused s2D distribution
@@ -146,7 +158,9 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 	if mesh.Pr*mesh.Pc != d.K {
 		return nil, fmt.Errorf("spmv: mesh %v does not cover K=%d", mesh, d.K)
 	}
-	e := &RoutedEngine{d: d, mesh: mesh}
+	e := &RoutedEngine{mesh: mesh}
+	e.d = d
+	e.ensure = e.ensureWidth
 	e.rprocs = make([]*rproc, d.K)
 	for i := range e.rprocs {
 		e.rprocs[i] = &rproc{
@@ -157,14 +171,7 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 			phase1Dests: make(map[int]struct{}),
 			phase2Dests: make(map[int]struct{}),
 			extSlot:     make(map[int]int),
-			p1Recv:      make(map[int]*routeRecv),
-			p2Recv:      make(map[int][]int),
 		}
-		// Capacity 2K: sends never block even when fault containment
-		// floods one release packet per worker on top of the at most one
-		// real packet per sender per phase (see fault.go).
-		e.rprocs[i].inbox[0] = make(chan packet, 2*d.K)
-		e.rprocs[i].inbox[1] = make(chan packet, 2*d.K)
 	}
 
 	// Per (owner, dest) x needs, as in the fused engine.
@@ -245,55 +252,63 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 			}
 		}
 	}
-	for _, pr := range e.rprocs {
-		pr.extX = make([]float64, len(pr.extSlot))
-	}
-
 	e.compile()
-	e.pool.launch(len(e.rprocs), func(i int, x, y []float64, nrhs int, transpose bool) {
+	e.pool.launch(d.K, 2, func(i int, dr dir, x, y []float64, w int) {
 		pr := e.rprocs[i]
 		// curKern is written by the dispatcher before the start-channel
 		// send, so this read is ordered after it.
-		kid := e.curKern
-		switch {
-		case transpose && nrhs > 0:
-			e.runTBlock(pr, x, y, nrhs, kid)
-		case transpose:
-			e.runT(pr, x, y, kid)
-		case nrhs > 0:
-			e.runBlock(pr, x, y, nrhs, kid)
-		default:
-			e.run(pr, x, y, kid)
-		}
-	}, e.releasePeers)
+		e.runRouted(pr, pr.plans[dr], x, y, w, e.curKern)
+	})
 	return e, nil
 }
 
-// compile lowers the routing schedule to the dense execution plan.
-//
-//spmv:deterministic
-func (e *RoutedEngine) compile() {
+// ensureWidth compiles the transpose plan on its first use and re-slices
+// the routing buffers and direction d's plan for width w; it runs with
+// the workers parked.
+func (e *RoutedEngine) ensureWidth(d dir, w int) {
+	if e.rprocs[0].plans[d] == nil {
+		e.compileTranspose()
+	}
+	for _, pr := range e.rprocs {
+		pr.route[colSpace] = growBlock(pr.route[colSpace], len(pr.xSlot)*w)
+		pr.route[rowSpace] = growBlock(pr.route[rowSpace], len(pr.ySlot)*w)
+		pr.plans[d].resize(w)
+	}
+}
+
+// midNZ returns, per processor p and intermediate mid, p's precompute
+// nonzeros routed via mid (mid may be p itself for same-mesh-row
+// destinations). Destinations ascend: the concatenation order fixes the
+// within-row nonzero order compileRows bakes into the kernels, and float
+// accumulation order must not vary across rebuilds.
+func (e *RoutedEngine) midNZ() []map[int][]localNZ {
 	mesh := e.mesh
-	// midNZ[p][mid]: p's precompute nonzeros routed via mid (mid may be p
-	// itself for same-mesh-row destinations).
 	midNZ := make([]map[int][]localNZ, len(e.rprocs))
 	for _, pr := range e.rprocs {
 		midNZ[pr.id] = make(map[int][]localNZ)
-		// Destinations ascending: the concatenation order fixes the
-		// within-row nonzero order compileRows bakes into the kernel,
-		// and float accumulation order must not vary across rebuilds.
 		for _, dest := range sortedKeys(pr.preGroups) {
 			mid := mesh.PartAt(mesh.RowOf(dest), mesh.ColOf(pr.id))
 			midNZ[pr.id][mid] = append(midNZ[pr.id][mid], pr.preGroups[dest]...)
 		}
 	}
+	return midNZ
+}
 
-	// Per-proc slot layouts, kept for the receive-translation pass below.
-	xSlots := make([]map[int]int, len(e.rprocs))
-	ySlots := make([]map[int]int, len(e.rprocs))
-
+// compile lowers the routing schedule to the forward plan.
+//
+//spmv:deterministic
+func (e *RoutedEngine) compile() {
+	midNZ := e.midNZ()
 	for _, pr := range e.rprocs {
-		pr.own = compileRows(pr.ownRows)
+		p := &rplan{
+			carry:    colSpace,
+			comb:     rowSpace,
+			own:      compileRows(pr.ownRows),
+			hop1Recv: make(map[int]hopRecv),
+			hop2Recv: make(map[int][]int),
+			nExt:     len(pr.extSlot),
+		}
+		pr.plans[fwd] = p
 
 		// Dense routed-x layout: everything this proc forwards in phase 2
 		// plus everything arriving in phase 1.
@@ -305,13 +320,10 @@ func (e *RoutedEngine) compile() {
 			xIdxs = append(xIdxs, s.hop1X[pr.id]...)
 		}
 		xIdxs = dedupSorted(xIdxs)
-		xSlot := make(map[int]int, len(xIdxs))
+		pr.xSlot = make(map[int]int, len(xIdxs))
 		for t, j := range xIdxs {
-			xSlot[j] = t
+			pr.xSlot[j] = t
 		}
-		xSlots[pr.id] = xSlot
-		pr.xSlot = xSlot
-		pr.routeXVal = make([]float64, len(xIdxs))
 
 		// Dense routed-y layout: every row this proc combines, own partials
 		// and incoming alike.
@@ -322,93 +334,75 @@ func (e *RoutedEngine) compile() {
 			}
 		}
 		yRows = dedupSorted(yRows)
-		ySlot := make(map[int]int, len(yRows))
+		pr.ySlot = make(map[int]int, len(yRows))
 		for t, r := range yRows {
-			ySlot[r] = t
+			pr.ySlot[r] = t
 		}
-		ySlots[pr.id] = ySlot
-		pr.ySlot = ySlot
-		pr.routeYVal = make([]float64, len(yRows))
 
 		// Locally-owned x entries this proc forwards as its own
-		// intermediate (never shipped in phase 1).
+		// intermediate (never shipped in phase 1), in slot order.
+		var selfX []slotIdx
 		for _, idxs := range pr.hop2X {
 			for _, j := range idxs {
 				if e.d.XPart[j] == pr.id {
-					pr.selfX = append(pr.selfX, slotIdx{slot: xSlot[j], idx: j})
+					selfX = append(selfX, slotIdx{slot: pr.xSlot[j], idx: j})
 				}
 			}
 		}
-		sort.Slice(pr.selfX, func(a, b int) bool { return pr.selfX[a].slot < pr.selfX[b].slot })
-		pr.selfX = dedupSelfX(pr.selfX)
+		sort.Slice(selfX, func(a, b int) bool { return selfX[a].slot < selfX[b].slot })
+		for _, sx := range dedupSelfX(selfX) {
+			p.seedSlot = append(p.seedSlot, sx.slot)
+			p.seedIdx = append(p.seedIdx, sx.idx)
+		}
 
-		// Self-routed partials accumulate straight into routeYVal.
-		pr.selfY = compileRows(midNZ[pr.id][pr.id])
-		for t, r := range pr.selfY.rows {
-			pr.selfY.rows[t] = ySlot[r]
+		// Self-routed partials accumulate straight into the row buffer.
+		p.self = compileRows(midNZ[pr.id][pr.id])
+		for t, r := range p.self.rows {
+			p.self.rows[t] = pr.ySlot[r]
 		}
 
 		// Phase-1 packets, sorted by intermediate.
-		mids := sortedKeys(pr.phase1Dests)
-		grps := make([]rowKernel, len(mids))
-		words := 0
-		for t, mid := range mids {
-			grps[t] = compileRows(midNZ[pr.id][mid])
-			words += len(pr.hop1X[mid]) + len(grps[t].rows)
-		}
-		arena := newValArena(words)
-		for t, mid := range mids {
-			pr.p1Sends = append(pr.p1Sends, newSendPlan(pr.id, mid, pr.hop1X[mid], grps[t], arena))
+		for _, mid := range sortedKeys(pr.phase1Dests) {
+			p.hop1 = append(p.hop1, newSendPlan(pr.id, mid, pr.hop1X[mid], compileRows(midNZ[pr.id][mid])))
 		}
 
 		// Phase-2 forwards, sorted by destination: x from hop2X, y from the
 		// routed rows owned by that destination.
-		words = 0
 		destRows := make(map[int][]int, len(pr.phase2Dests))
 		for _, r := range yRows {
 			if dst := e.d.YPart[r]; dst != pr.id {
 				destRows[dst] = append(destRows[dst], r)
 			}
 		}
-		for dst := range pr.phase2Dests {
-			words += len(pr.hop2X[dst]) + len(destRows[dst])
-		}
-		arena = newValArena(words)
 		for _, dst := range sortedKeys(pr.phase2Dests) {
-			fp := &fwdPlan{dest: dst}
-			xIdx := pr.hop2X[dst]
+			xIdx, rows := pr.hop2X[dst], destRows[dst]
+			fp := &fwdPlan{dest: dst, buf: packet{from: pr.id, xIdx: xIdx, yIdx: rows}}
 			fp.xSlot = make([]int, len(xIdx))
 			for t, j := range xIdx {
-				fp.xSlot[t] = xSlot[j]
+				fp.xSlot[t] = pr.xSlot[j]
 			}
-			rows := destRows[dst]
 			fp.ySlot = make([]int, len(rows))
 			for t, r := range rows {
-				fp.ySlot[t] = ySlot[r]
+				fp.ySlot[t] = pr.ySlot[r]
 			}
-			fp.buf = packet{
-				from: pr.id,
-				xIdx: xIdx,
-				xVal: arena.take(len(xIdx)),
-				yIdx: rows,
-				yVal: arena.take(len(rows)),
-			}
-			pr.p2Sends = append(pr.p2Sends, fp)
+			p.hop2 = append(p.hop2, fp)
 		}
 
 		// Rows folded locally.
 		for _, r := range yRows {
 			if e.d.YPart[r] == pr.id {
-				pr.yLocalRows = append(pr.yLocalRows, r)
-				pr.yLocalSlot = append(pr.yLocalSlot, ySlot[r])
+				p.foldRow = append(p.foldRow, r)
+				p.foldSlot = append(p.foldSlot, pr.ySlot[r])
 			}
 		}
 	}
 
 	// Receive translations: each sender's fixed payload is known, so the
 	// receiver precomputes slot arrays instead of doing per-word map
-	// lookups at run time.
+	// lookups at run time. An x value whose final destination is the
+	// intermediate itself also lands in its extX.
 	for _, pr := range e.rprocs {
+		p := pr.plans[fwd]
 		var p1Senders, p2Senders []int
 		for _, s := range e.rprocs {
 			if s.id == pr.id {
@@ -416,24 +410,21 @@ func (e *RoutedEngine) compile() {
 			}
 			if _, ok := s.phase1Dests[pr.id]; ok {
 				p1Senders = append(p1Senders, s.id)
-				tr := &routeRecv{}
 				idxs := s.hop1X[pr.id]
-				tr.xRoute = make([]int, len(idxs))
-				tr.xExt = make([]int, len(idxs))
+				hr := hopRecv{x: make([]int, len(idxs))}
 				for t, j := range idxs {
-					tr.xRoute[t] = xSlots[pr.id][j]
+					hr.x[t] = pr.xSlot[j]
 					if slot, ok := pr.extSlot[j]; ok {
-						tr.xExt[t] = slot
-					} else {
-						tr.xExt[t] = -1
+						p.extSlot = append(p.extSlot, slot)
+						p.extFrom = append(p.extFrom, hr.x[t])
 					}
 				}
 				rows := compiledGroupRows(midNZ[s.id][pr.id])
-				tr.ySlot = make([]int, len(rows))
+				hr.y = make([]int, len(rows))
 				for t, r := range rows {
-					tr.ySlot[t] = ySlots[pr.id][r]
+					hr.y[t] = pr.ySlot[r]
 				}
-				pr.p1Recv[s.id] = tr
+				p.hop1Recv[s.id] = hr
 			}
 			if _, ok := s.phase2Dests[pr.id]; ok {
 				p2Senders = append(p2Senders, s.id)
@@ -442,15 +433,15 @@ func (e *RoutedEngine) compile() {
 				for t, j := range idxs {
 					slots[t] = pr.extSlot[j]
 				}
-				pr.p2Recv[s.id] = slots
+				p.hop2Recv[s.id] = slots
 			}
 		}
-		sort.Ints(p1Senders)
-		sort.Ints(p2Senders)
-		pr.recv[0] = newRecvPlan(p1Senders)
-		pr.recv[1] = newRecvPlan(p2Senders)
+		p.recv[0] = newRecvPlan(p1Senders)
+		p.recv[1] = newRecvPlan(p2Senders)
 	}
 }
+
+type slotIdx struct{ slot, idx int }
 
 func dedupSelfX(xs []slotIdx) []slotIdx {
 	out := xs[:0]
@@ -473,75 +464,48 @@ func dedupSorted(xs []int) []int {
 	return out
 }
 
-// Close parks the routed engine permanently; like Engine.Close it is
-// idempotent, and Multiply after Close returns a typed *ClosedError.
-func (e *RoutedEngine) Close() { e.pool.close() }
-
-// Multiply computes y ← Ax with the routed two-phase schedule. It
-// returns *ClosedError after Close and *EngineFaultError once a
-// contained worker panic has poisoned the engine.
-func (e *RoutedEngine) Multiply(x, y []float64) error {
-	a := e.d.A
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic("spmv: dimension mismatch")
-	}
-	e.curKern = e.sel.forWidth(1)
-	return e.pool.dispatch(x, y)
-}
-
+// runRouted executes one processor's part of the two-hop schedule in
+// either direction: seed the routing buffers with what this proc routes
+// as its own intermediate, ship phase-1 packets to the intermediates,
+// combine what arrives (x values overwrite carry slots, partials sum in
+// comb slots — the same output entry from many sources), forward the
+// combined payloads in phase 2, fold the outputs this proc owns, and
+// run the local Compute kernel.
+//
 //spmv:hotpath
-func (e *RoutedEngine) run(pr *rproc, x, y []float64, kid kernelID) {
-	for i := range pr.routeYVal {
-		pr.routeYVal[i] = 0
+func (e *RoutedEngine) runRouted(pr *rproc, p *rplan, x, y []float64, w int, kid kernelID) {
+	in := e.pool.inbox
+	carry, comb := pr.route[p.carry], pr.route[p.comb]
+	for i := range comb {
+		comb[i] = 0
 	}
-	// Seed the routing buffers with self-routed payloads.
-	for _, s := range pr.selfX {
-		pr.routeXVal[s.slot] = x[s.idx]
-	}
-	pr.selfY.addIntoK(kid, pr.routeYVal, x, nil)
+	copyPairsW(carry, p.seedSlot, x, p.seedIdx, w)
+	p.self.addIntoK(kid, comb, x, nil, w, p.acc)
 	// Phase 1 sends.
-	for _, sp := range pr.p1Sends {
-		sp.fill(kid, x, nil)
-		e.rprocs[sp.dest].inbox[0] <- sp.buf
+	for _, sp := range p.hop1 {
+		sp.fill(kid, x, nil, w)
+		in[sp.dest][0] <- sp.buf
 	}
-	// Phase 1 receives: combine into the dense routing buffers. An x value
-	// whose final destination is this very processor lands in extX too.
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		tr := pr.p1Recv[pk.from]
-		for t, v := range pk.xVal {
-			pr.routeXVal[tr.xRoute[t]] = v
-			if s := tr.xExt[t]; s >= 0 {
-				pr.extX[s] = v
-			}
-		}
-		for t, v := range pk.yVal {
-			pr.routeYVal[tr.ySlot[t]] += v // combining: same y_i from many sources
-		}
+	// Phase 1 receives: combine into the dense routing buffers.
+	for _, pk := range p.recv[0].gather(in[pr.id][0]) {
+		hr := p.hop1Recv[pk.from]
+		scatterW(carry, pk.xVal, hr.x, w)
+		scatterAddW(comb, pk.yVal, hr.y, w)
 	}
+	copyPairsW(p.extX, p.extSlot, carry, p.extFrom, w)
 	// Phase 2 sends: forward combined payloads to final destinations.
-	for _, fp := range pr.p2Sends {
-		for t, s := range fp.xSlot {
-			fp.buf.xVal[t] = pr.routeXVal[s]
-		}
-		for t, s := range fp.ySlot {
-			fp.buf.yVal[t] = pr.routeYVal[s]
-		}
-		e.rprocs[fp.dest].inbox[1] <- fp.buf
+	for _, fp := range p.hop2 {
+		gatherW(fp.buf.xVal, carry, fp.xSlot, w)
+		gatherW(fp.buf.yVal, comb, fp.ySlot, w)
+		in[fp.dest][1] <- fp.buf
 	}
-	// Rows this proc owns fold straight out of the routing buffer.
-	for t, i := range pr.yLocalRows {
-		y[i] += pr.routeYVal[pr.yLocalSlot[t]]
-	}
+	// Outputs this proc owns fold straight out of the routing buffer.
+	addPairsW(y, p.foldRow, comb, p.foldSlot, w)
 	// Phase 2 receives.
-	for _, pk := range pr.recv[1].gather(pr.inbox[1]) {
-		slots := pr.p2Recv[pk.from]
-		for t, v := range pk.xVal {
-			pr.extX[slots[t]] = v
-		}
-		for t, i := range pk.yIdx {
-			y[i] += pk.yVal[t]
-		}
+	for _, pk := range p.recv[1].gather(in[pr.id][1]) {
+		scatterW(p.extX, pk.xVal, p.hop2Recv[pk.from], w)
+		scatterAddW(y, pk.yVal, pk.yIdx, w)
 	}
-	// Compute local rows.
-	ownOf(&pr.own, &pr.ownS, kid).addIntoK(kid, y, x, pr.extX)
+	// Compute local outputs.
+	p.own.addIntoK(kid, y, x, p.extX, w, p.acc)
 }

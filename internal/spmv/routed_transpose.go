@@ -2,9 +2,9 @@ package spmv
 
 import "sort"
 
-// This file adds y ← Aᵀx to the routed two-hop engine by reversing the
-// compiled forward route edge for edge: the transpose's phase 1 is the
-// reverse of the forward phase 2, its phase 2 the reverse of the
+// This file compiles y ← Aᵀx for the routed two-hop engine by reversing
+// the compiled forward route edge for edge: the transpose's phase 1 is
+// the reverse of the forward phase 2, its phase 2 the reverse of the
 // forward phase 1, and every intermediate keeps its combining role with
 // the payload directions swapped. An x entry that fanned out through an
 // intermediate to several consumers becomes several partial sums
@@ -12,104 +12,39 @@ import "sort"
 // partial-sum tree becomes an x broadcast tree — so message counts,
 // index sets, and payload sizes all match the forward plan's.
 //
-// The dense routing buffers swap roles too: routeYVal's row-space
-// layout carries the transpose's routed x values, routeXVal's
-// column-space layout carries the transpose's combined partials. Both
-// buffers (and their block twins) are shared with the forward plan —
-// calls on one engine never overlap, so no copy is live across both.
+// The dense routing buffers swap roles too: the row-space buffer
+// carries the transpose's routed x values, the column-space buffer
+// combines its partials. The result is an rplan like the forward one,
+// executed by the same runRouted body.
 
-// rtproc is one processor's compiled routed transpose plan.
-type rtproc struct {
-	// extSlot maps a remote x row to a slot in extX — the rows this proc
-	// computed fold partials for in the forward plan.
-	extSlot map[int]int
-	extX    []float64
-
-	// own computes the locally-owned output columns (kernel "rows" are
-	// global column indices; external sources read extX). ownS is its
-	// sorted-slot twin, derived lazily once a sorted-layout backend is
-	// installed.
-	own  rowKernel
-	ownS rowKernel
-
-	// selfPartial accumulates this proc's partials for external columns
-	// that were delivered to it directly by their owners (the forward
-	// phase-1 xExt path) into the column buffer; its rows field holds
-	// routeXVal slots. It reads local x only.
-	selfPartial rowKernel
-
-	// rxtToExt copies the rows this proc consumes that route through
-	// itself out of the row buffer into extX after phase 1:
-	// extX[idx] = routeYVal[slot].
-	rxtToExt []slotIdx
-
-	// Phase-1 packets: one to each forward phase-2 sender, pairing the x
-	// rows this proc owns (which that sender combined for it) with the
-	// partials for the columns that sender delivered.
-	t1Sends []*sendPlan
-	// t1Recv[sender] is this proc's own forward phase-2 plan to that
-	// destination: its ySlot array places incoming x rows in the row
-	// buffer, its xSlot array combines incoming partials in the column
-	// buffer. No extra storage — the forward slot arrays are reused.
-	t1Recv map[int]*fwdPlan
-
-	// Phase-2 forwards: one to each forward phase-1 sender, x rows
-	// gathered from the row buffer (slots alias p1Recv's ySlot) and
-	// combined partials from the column buffer (slots alias xRoute).
-	t2Sends []*fwdPlan
-	// t2RecvX[sender] maps incoming phase-2 x rows to extX slots.
-	t2RecvX map[int][]int
-
-	recv [2]recvPlan
-
-	// Block (multi-RHS) twins, sized lazily by ensureTransposeBlock.
-	extXB []float64
-	accB  []float64
-}
-
-// ensureTranspose compiles the routed transpose plan once, with the
-// workers parked.
-func (e *RoutedEngine) ensureTranspose() {
-	if e.tready {
-		return
-	}
+// compileTranspose compiles every processor's routed transpose plan,
+// with the workers parked.
+func (e *RoutedEngine) compileTranspose() {
 	mesh := e.mesh
-	// Recompute midNZ as compile did, in sorted destination order so the
-	// derived kernels are deterministic across rebuilt engines.
-	midNZ := make([]map[int][]localNZ, len(e.rprocs))
+	midNZ := e.midNZ()
 	for _, pr := range e.rprocs {
-		midNZ[pr.id] = make(map[int][]localNZ)
-		for _, dest := range sortedKeys(pr.preGroups) {
-			mid := mesh.PartAt(mesh.RowOf(dest), mesh.ColOf(pr.id))
-			midNZ[pr.id][mid] = append(midNZ[pr.id][mid], pr.preGroups[dest]...)
+		f := pr.plans[fwd]
+		ext := transposeExtSlots(pr.preGroups)
+		p := &rplan{
+			carry: rowSpace,
+			comb:  colSpace,
+			// Rows this proc owns and routes as its own intermediate seed
+			// the row buffer; columns it owns whose partials combined in the
+			// column buffer (their consumers reached them via this proc
+			// itself) fold from it: the forward fold and seed, swapped.
+			seedSlot: f.foldSlot,
+			seedIdx:  f.foldRow,
+			foldRow:  f.seedIdx,
+			foldSlot: f.seedSlot,
+			hop1Recv: make(map[int]hopRecv),
+			hop2Recv: make(map[int][]int),
+			nExt:     len(ext),
 		}
-	}
-
-	for _, pr := range e.rprocs {
-		t := &rtproc{
-			extSlot: make(map[int]int),
-			t1Recv:  make(map[int]*fwdPlan),
-			t2RecvX: make(map[int][]int),
-		}
-		for _, dst := range sortedKeys(pr.preGroups) {
-			for _, i := range compiledGroupRows(pr.preGroups[dst]) {
-				if _, ok := t.extSlot[i]; !ok {
-					t.extSlot[i] = len(t.extSlot)
-				}
-			}
-		}
-		t.extX = make([]float64, len(t.extSlot))
-		pr.t = t
-	}
-
-	for _, pr := range e.rprocs {
-		t := pr.t
 		extIdx := invertSlots(pr.extSlot) // forward slot → global column
 
 		// Split this proc's nonzeros into the transpose frame.
-		var own []localNZ
-		var selfNZ []localNZ
-		t1Pre := make(map[int][]localNZ)
+		var own, selfNZ []localNZ
+		hop1Pre := make(map[int][]localNZ)
 		for _, nz := range pr.ownRows {
 			if nz.src >= 0 {
 				own = append(own, localNZ{row: nz.src, src: nz.row, val: nz.val})
@@ -125,56 +60,39 @@ func (e *RoutedEngine) ensureTranspose() {
 			if mid == pr.id {
 				selfNZ = append(selfNZ, tnz)
 			} else {
-				t1Pre[mid] = append(t1Pre[mid], tnz)
+				hop1Pre[mid] = append(hop1Pre[mid], tnz)
 			}
 		}
 		for _, dst := range sortedKeys(pr.preGroups) {
 			for _, nz := range pr.preGroups[dst] {
-				own = append(own, localNZ{row: nz.src, src: -(t.extSlot[nz.row] + 1), val: nz.val})
+				own = append(own, localNZ{row: nz.src, src: -(ext[nz.row] + 1), val: nz.val})
 			}
 		}
-		t.own = compileRows(own)
-		t.selfPartial = compileRows(selfNZ)
-		for i, j := range t.selfPartial.rows {
-			t.selfPartial.rows[i] = pr.xSlot[j]
+		p.own = compileRows(own)
+		p.self = compileRows(selfNZ)
+		for i, j := range p.self.rows {
+			p.self.rows[i] = pr.xSlot[j]
 		}
 
-		// Phase-1 packets reverse the forward phase-2 packets into pr.
-		var t1Dests []int
+		// Phase-1 packets reverse the forward phase-2 packets into pr: the
+		// x rows pr owns (which that sender combined for it, in the forward
+		// packet's order) and the partials for the columns it delivered.
 		for _, s := range e.rprocs {
-			if s.id == pr.id {
+			if _, ok := s.phase2Dests[pr.id]; !ok || s.id == pr.id {
 				continue
 			}
-			if _, ok := s.phase2Dests[pr.id]; ok {
-				t1Dests = append(t1Dests, s.id)
-			}
-		}
-		sort.Ints(t1Dests)
-		type reversed struct {
-			dst  int
-			rows []int // x rows pr owns, in the forward packet's order
-			grp  rowKernel
-		}
-		revs := make([]reversed, 0, len(t1Dests))
-		words := 0
-		for _, sid := range t1Dests {
-			var fp *fwdPlan
-			for _, cand := range e.rprocs[sid].p2Sends {
-				if cand.dest == pr.id {
-					fp = cand
+			for _, fp := range s.plans[fwd].hop2 {
+				if fp.dest == pr.id {
+					p.hop1 = append(p.hop1, newSendPlan(pr.id, s.id, fp.buf.yIdx, compileRows(hop1Pre[s.id])))
 					break
 				}
 			}
-			grp := compileRows(t1Pre[sid])
-			words += len(fp.buf.yIdx) + len(grp.rows)
-			revs = append(revs, reversed{dst: sid, rows: fp.buf.yIdx, grp: grp})
 		}
-		arena := newValArena(words)
-		for _, rv := range revs {
-			t.t1Sends = append(t.t1Sends, newSendPlan(pr.id, rv.dst, rv.rows, rv.grp, arena))
-		}
-		for _, fp := range pr.p2Sends {
-			t.t1Recv[fp.dest] = fp
+		// Incoming phase-1 packets retrace pr's own forward forwards: x
+		// rows land where that forward gathered its partials, partials
+		// combine where it gathered its x values.
+		for _, fp := range f.hop2 {
+			p.hop1Recv[fp.dest] = hopRecv{x: fp.ySlot, y: fp.xSlot}
 		}
 
 		// Rows consumed here that route through this proc itself.
@@ -183,247 +101,53 @@ func (e *RoutedEngine) ensureTranspose() {
 				continue
 			}
 			for _, i := range compiledGroupRows(pr.preGroups[dst]) {
-				t.rxtToExt = append(t.rxtToExt, slotIdx{slot: pr.ySlot[i], idx: t.extSlot[i]})
+				p.extSlot = append(p.extSlot, ext[i])
+				p.extFrom = append(p.extFrom, pr.ySlot[i])
 			}
 		}
 
-		// Phase-2 forwards reverse the forward phase-1 packets into pr.
-		var t2Dests []int
-		for k := range pr.p1Recv {
-			t2Dests = append(t2Dests, k)
+		// Phase-2 forwards reverse the forward phase-1 packets into pr: x
+		// rows gathered from the row buffer (slots alias the forward
+		// partial slots) and combined partials from the column buffer
+		// (slots alias the forward x slots).
+		senders := make([]int, 0, len(f.hop1Recv))
+		for k := range f.hop1Recv {
+			senders = append(senders, k)
 		}
-		sort.Ints(t2Dests)
-		words = 0
-		for _, k := range t2Dests {
-			tr := pr.p1Recv[k]
-			words += len(tr.ySlot) + len(tr.xRoute)
+		sort.Ints(senders)
+		for _, k := range senders {
+			hr := f.hop1Recv[k]
+			p.hop2 = append(p.hop2, &fwdPlan{
+				dest:  k,
+				xSlot: hr.y,
+				ySlot: hr.x,
+				buf: packet{
+					from: pr.id,
+					xIdx: compiledGroupRows(midNZ[k][pr.id]),
+					yIdx: e.rprocs[k].hop1X[pr.id],
+				},
+			})
 		}
-		arena = newValArena(words)
-		for _, k := range t2Dests {
-			tr := pr.p1Recv[k]
-			fp := &fwdPlan{dest: k, xSlot: tr.ySlot, ySlot: tr.xRoute}
-			fp.buf = packet{
-				from: pr.id,
-				xIdx: compiledGroupRows(midNZ[k][pr.id]),
-				xVal: arena.take(len(tr.ySlot)),
-				yIdx: e.rprocs[k].hop1X[pr.id],
-				yVal: arena.take(len(tr.xRoute)),
-			}
-			t.t2Sends = append(t.t2Sends, fp)
-		}
-		for _, sp := range pr.p1Sends {
+		for _, sp := range f.hop1 {
 			slots := make([]int, len(sp.grp.rows))
 			for i, r := range sp.grp.rows {
-				slots[i] = t.extSlot[r]
+				slots[i] = ext[r]
 			}
-			t.t2RecvX[sp.dest] = slots
+			p.hop2Recv[sp.dest] = slots
 		}
 
-		// Receive plans: transpose phase-1 packets come from pr's forward
-		// phase-2 destinations, phase-2 packets from its phase-1 ones.
-		t1Senders := make([]int, 0, len(pr.p2Sends))
-		for _, fp := range pr.p2Sends {
+		// Transpose phase-1 packets come from pr's forward phase-2
+		// destinations, phase-2 packets from its phase-1 ones.
+		t1Senders := make([]int, 0, len(f.hop2))
+		for _, fp := range f.hop2 {
 			t1Senders = append(t1Senders, fp.dest)
 		}
-		t2Senders := make([]int, 0, len(pr.p1Sends))
-		for _, sp := range pr.p1Sends {
+		t2Senders := make([]int, 0, len(f.hop1))
+		for _, sp := range f.hop1 {
 			t2Senders = append(t2Senders, sp.dest)
 		}
-		t.recv[0] = newRecvPlan(t1Senders)
-		t.recv[1] = newRecvPlan(t2Senders)
+		p.recv[0] = newRecvPlan(t1Senders)
+		p.recv[1] = newRecvPlan(t2Senders)
+		pr.plans[trans] = p
 	}
-	e.tready = true
-	if e.sel.anySorted() {
-		// A sorted-layout backend was installed before the transpose plan
-		// existed; derive its sorted own kernels now.
-		e.ensureSorted()
-	}
-}
-
-// MultiplyTranspose computes y ← Aᵀx with the reversed two-hop
-// schedule; see Engine.MultiplyTranspose for the contract.
-func (e *RoutedEngine) MultiplyTranspose(x, y []float64) error {
-	a := e.d.A
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("spmv: dimension mismatch")
-	}
-	e.ensureTranspose()
-	e.curKern = e.sel.forWidth(1)
-	return e.pool.dispatchOp(x, y, 0, true)
-}
-
-// runT executes one processor's transpose part of the reversed route.
-// Throughout, pr.routeYVal is the row buffer (routed x values) and
-// pr.routeXVal the column buffer (combined partials).
-//
-//spmv:hotpath
-func (e *RoutedEngine) runT(pr *rproc, x, y []float64, kid kernelID) {
-	t := pr.t
-	rxb, cyb := pr.routeYVal, pr.routeXVal
-	for i := range cyb {
-		cyb[i] = 0
-	}
-	// Seed: rows this proc owns and routes as its own intermediate, and
-	// partials for columns their owners delivered here directly.
-	// selfPartial's rows index routing slots, not packet positions, so
-	// the relaxed loops may run here; the sorted layout never applies.
-	for i, r := range pr.yLocalRows {
-		rxb[pr.yLocalSlot[i]] = x[r]
-	}
-	t.selfPartial.addIntoK(kid, cyb, x, nil)
-	// Phase 1 sends.
-	for _, sp := range t.t1Sends {
-		sp.fill(kid, x, nil)
-		e.rprocs[sp.dest].inbox[0] <- sp.buf
-	}
-	// Phase 1 receives: x rows overwrite the row buffer, partials combine
-	// in the column buffer (same y_j from many consumers).
-	for _, pk := range t.recv[0].gather(pr.inbox[0]) {
-		fp := t.t1Recv[pk.from]
-		for i, s := range fp.ySlot {
-			rxb[s] = pk.xVal[i]
-		}
-		for i, s := range fp.xSlot {
-			cyb[s] += pk.yVal[i]
-		}
-	}
-	// Rows consumed locally that routed through this proc.
-	for _, s := range t.rxtToExt {
-		t.extX[s.idx] = rxb[s.slot]
-	}
-	// Phase 2 sends: forward x rows and combined partials to the owners.
-	for _, fp := range t.t2Sends {
-		for i, s := range fp.xSlot {
-			fp.buf.xVal[i] = rxb[s]
-		}
-		for i, s := range fp.ySlot {
-			fp.buf.yVal[i] = cyb[s]
-		}
-		e.rprocs[fp.dest].inbox[1] <- fp.buf
-	}
-	// Columns this proc owns whose combined partials sit in the column
-	// buffer (their consumers reached them via this proc itself).
-	for _, s := range pr.selfX {
-		y[s.idx] += cyb[s.slot]
-	}
-	// Phase 2 receives.
-	for _, pk := range t.recv[1].gather(pr.inbox[1]) {
-		slots := t.t2RecvX[pk.from]
-		for i, v := range pk.xVal {
-			t.extX[slots[i]] = v
-		}
-		for i, j := range pk.yIdx {
-			y[j] += pk.yVal[i]
-		}
-	}
-	// Compute local columns.
-	ownOf(&t.own, &t.ownS, kid).addIntoK(kid, y, x, t.extX)
-}
-
-// ---- blocked transpose ----
-
-// ensureTransposeBlock mirrors RoutedEngine.ensureBlock for the
-// transpose plan. The shared dense routing buffers are (re)sized here
-// too, and the forward width is invalidated so its next block call
-// re-slices them back.
-func (e *RoutedEngine) ensureTransposeBlock(nrhs int) {
-	if nrhs == e.tBlockNRHS {
-		return
-	}
-	for _, pr := range e.rprocs {
-		t := pr.t
-		t.extXB = growBlock(t.extXB, len(t.extSlot)*nrhs)
-		t.accB = growBlock(t.accB, nrhs)
-		pr.routeXValB = growBlock(pr.routeXValB, len(pr.routeXVal)*nrhs)
-		pr.routeYValB = growBlock(pr.routeYValB, len(pr.routeYVal)*nrhs)
-		for _, sp := range t.t1Sends {
-			sp.ensureBlock(nrhs)
-		}
-		for _, fp := range t.t2Sends {
-			fp.bufB = packet{
-				from: fp.buf.from,
-				xIdx: fp.buf.xIdx,
-				xVal: growBlock(fp.bufB.xVal, len(fp.xSlot)*nrhs),
-				yIdx: fp.buf.yIdx,
-				yVal: growBlock(fp.bufB.yVal, len(fp.ySlot)*nrhs),
-			}
-		}
-	}
-	e.blockNRHS = 0
-	e.tBlockNRHS = nrhs
-}
-
-// MultiplyTransposeBlock computes Y ← AᵀX for nrhs right-hand sides
-// with the reversed two-hop schedule; see Engine.MultiplyTransposeBlock.
-func (e *RoutedEngine) MultiplyTransposeBlock(X, Y []float64, nrhs int) error {
-	a := e.d.A
-	checkBlockDims(X, Y, nrhs, a.Rows, a.Cols)
-	e.ensureTranspose()
-	e.ensureTransposeBlock(nrhs)
-	e.curKern = e.sel.forWidth(nrhs)
-	return e.pool.dispatchOp(X, Y, nrhs, true)
-}
-
-// MultiplyTransposeMulti computes Y[c] ← Aᵀ·X[c] for every column c in
-// one routed block transpose multiply; see Engine.MultiplyMulti.
-func (e *RoutedEngine) MultiplyTransposeMulti(X, Y [][]float64) error {
-	return e.io.multi(X, Y, e.d.A.Rows, e.d.A.Cols, e.MultiplyTransposeBlock)
-}
-
-// runTBlock is runT with nrhs-wide payloads.
-//
-//spmv:hotpath
-func (e *RoutedEngine) runTBlock(pr *rproc, x, y []float64, nrhs int, kid kernelID) {
-	t := pr.t
-	rxb, cyb := pr.routeYValB, pr.routeXValB
-	for i := range cyb {
-		cyb[i] = 0
-	}
-	for i, r := range pr.yLocalRows {
-		copy(rxb[pr.yLocalSlot[i]*nrhs:(pr.yLocalSlot[i]+1)*nrhs], x[r*nrhs:(r+1)*nrhs])
-	}
-	t.selfPartial.addIntoBlockK(kid, cyb, x, nil, nrhs, t.accB)
-	// Phase 1 sends.
-	for _, sp := range t.t1Sends {
-		sp.fillBlock(kid, x, nil, nrhs)
-		e.rprocs[sp.dest].inbox[0] <- sp.bufB
-	}
-	// Phase 1 receives.
-	for _, pk := range t.recv[0].gather(pr.inbox[0]) {
-		fp := t.t1Recv[pk.from]
-		for i, s := range fp.ySlot {
-			copy(rxb[s*nrhs:(s+1)*nrhs], pk.xVal[i*nrhs:(i+1)*nrhs])
-		}
-		for i, s := range fp.xSlot {
-			addBlock(cyb[s*nrhs:(s+1)*nrhs], pk.yVal[i*nrhs:(i+1)*nrhs])
-		}
-	}
-	for _, s := range t.rxtToExt {
-		copy(t.extXB[s.idx*nrhs:(s.idx+1)*nrhs], rxb[s.slot*nrhs:(s.slot+1)*nrhs])
-	}
-	// Phase 2 sends.
-	for _, fp := range t.t2Sends {
-		for i, s := range fp.xSlot {
-			copy(fp.bufB.xVal[i*nrhs:(i+1)*nrhs], rxb[s*nrhs:(s+1)*nrhs])
-		}
-		for i, s := range fp.ySlot {
-			copy(fp.bufB.yVal[i*nrhs:(i+1)*nrhs], cyb[s*nrhs:(s+1)*nrhs])
-		}
-		e.rprocs[fp.dest].inbox[1] <- fp.bufB
-	}
-	for _, s := range pr.selfX {
-		addBlock(y[s.idx*nrhs:(s.idx+1)*nrhs], cyb[s.slot*nrhs:(s.slot+1)*nrhs])
-	}
-	// Phase 2 receives.
-	for _, pk := range t.recv[1].gather(pr.inbox[1]) {
-		slots := t.t2RecvX[pk.from]
-		for i, s := range slots {
-			copy(t.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[i*nrhs:(i+1)*nrhs])
-		}
-		for i, j := range pk.yIdx {
-			addBlock(y[j*nrhs:(j+1)*nrhs], pk.yVal[i*nrhs:(i+1)*nrhs])
-		}
-	}
-	// Compute local columns.
-	ownOf(&t.own, &t.ownS, kid).addIntoBlockK(kid, y, x, t.extXB, nrhs, t.accB)
 }
