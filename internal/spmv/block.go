@@ -41,6 +41,15 @@ type base struct {
 	shape  shape
 }
 
+// init wires the engine's ensureWidth hook once its forward plan is
+// compiled, and sizes that plan for width 1 so the first Multiply
+// allocates nothing either.
+func (b *base) init(ensure func(d dir, w int)) {
+	b.ensure = ensure
+	b.shape = shape{fwd, 1}
+	ensure(fwd, 1)
+}
+
 // dims returns the operator's output and input lengths in direction d.
 func (b *base) dims(d dir) (rows, cols int) {
 	if d == trans {

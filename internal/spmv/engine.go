@@ -151,8 +151,8 @@ func NewEngine(d *distrib.Distribution) (*Engine, error) {
 		return nil, err
 	}
 	e.d = d
-	e.ensure = e.ensureWidth
 	e.compileForward()
+	e.init(e.ensureWidth)
 	e.pool.launch(d.K, e.phases(), func(i int, dr dir, x, y []float64, w int) {
 		pr := e.procs[i]
 		// curKern is written by the dispatcher before the start-channel

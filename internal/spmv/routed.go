@@ -160,7 +160,6 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 	}
 	e := &RoutedEngine{mesh: mesh}
 	e.d = d
-	e.ensure = e.ensureWidth
 	e.rprocs = make([]*rproc, d.K)
 	for i := range e.rprocs {
 		e.rprocs[i] = &rproc{
@@ -253,6 +252,7 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 		}
 	}
 	e.compile()
+	e.init(e.ensureWidth)
 	e.pool.launch(d.K, 2, func(i int, dr dir, x, y []float64, w int) {
 		pr := e.rprocs[i]
 		// curKern is written by the dispatcher before the start-channel
