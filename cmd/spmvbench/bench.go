@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/method"
+	"repro/internal/sparse"
 	"repro/internal/spmv"
 )
 
@@ -27,7 +28,10 @@ import (
 // record ran under — empty for the scalar reference, so baselines from
 // PRs that predate kernel selection pair against scalar records — and
 // KernelChoice is the backend "auto" resolved to for this nrhs
-// (informational; benchdiff keys on Kernel only).
+// (informational; benchdiff keys on Kernel only). SerialNs anchors the
+// record against "not parallel": nrhs serial CSR.MulVec calls on the
+// same matrix (on its transpose, built once outside the timer, for
+// transpose records), and SpeedupVsSerial = SerialNs / NsPerOp.
 type benchRecord struct {
 	Op           string `json:"op,omitempty"`
 	Kernel       string `json:"kernel,omitempty"`
@@ -50,6 +54,23 @@ type benchRecord struct {
 	MaxMsgs     int     `json:"max_msgs"`
 	VolumeWords int     `json:"volume_words"`
 	CommVolume  int     `json:"comm_volume"`
+
+	SerialNs        float64 `json:"serial_ns"`
+	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
+}
+
+// serialNs times one serial CSR.MulVec of a, the anchor every record
+// of that direction is measured against.
+func serialNs(a *sparse.CSR) float64 {
+	x, y := make([]float64, a.Cols), make([]float64, a.Rows)
+	for i := range x {
+		x[i] = float64(i%13) - 6
+	}
+	return float64(testing.Benchmark(func(bm *testing.B) {
+		for i := 0; i < bm.N; i++ {
+			a.MulVec(x, y)
+		}
+	}).NsPerOp())
 }
 
 func scheduleOf(b method.Build) string {
@@ -103,6 +124,11 @@ func runJSONBench(w io.Writer, cfg harness.Config, methods []string, nrhsList []
 			maxNRHS = nr
 		}
 	}
+	// serial[op] is one serial MulVec in that record direction.
+	serial := map[string]float64{"": serialNs(a)}
+	if transpose {
+		serial["transpose"] = serialNs(a.Transpose())
+	}
 	X := make([]float64, a.Cols*maxNRHS)
 	Y := make([]float64, a.Rows*maxNRHS)
 	for i := range X {
@@ -129,6 +155,7 @@ func runJSONBench(w io.Writer, cfg harness.Config, methods []string, nrhsList []
 				if kernelKey == "auto" {
 					choice = kernelRep.For(nrhs)
 				}
+				ns, serialOp := float64(res.NsPerOp()), serial[op]*float64(nrhs)
 				recs = append(recs, benchRecord{
 					Op:           op,
 					Kernel:       kernelKey,
@@ -143,14 +170,17 @@ func runJSONBench(w io.Writer, cfg harness.Config, methods []string, nrhsList []
 					Rows:        a.Rows,
 					Cols:        a.Cols,
 					NNZ:         a.NNZ(),
-					NsPerOp:     float64(res.NsPerOp()),
-					NsPerColumn: float64(res.NsPerOp()) / float64(nrhs),
+					NsPerOp:     ns,
+					NsPerColumn: ns / float64(nrhs),
 					AllocsPerOp: res.AllocsPerOp(),
 					BytesPerOp:  res.AllocedBytesPerOp(),
 					Packets:     cs.TotalMsgs,
 					MaxMsgs:     cs.MaxSendMsgs,
 					VolumeWords: cs.TotalVolume,
 					CommVolume:  cs.TotalVolume * nrhs,
+
+					SerialNs:        serialOp,
+					SpeedupVsSerial: serialOp / ns,
 				})
 			}
 			for _, sel := range kernels {

@@ -433,7 +433,6 @@ func (s *scheduler) flush(batch []*request) {
 				r.sink.addFlush(queue, assemble, flushD, len(batch), s.kernel, ph, phOK)
 			}
 		}
-		close(r.done)
 	}
 	switch {
 	case fault:
@@ -442,6 +441,11 @@ func (s *scheduler) flush(batch []*request) {
 		s.m.fail(len(batch))
 	default:
 		s.m.recordBatch(len(batch), latMs)
+	}
+	// Release the submitters only now, so a caller that reads the metrics
+	// after its submit returns already sees this batch counted.
+	for _, r := range batch {
+		close(r.done)
 	}
 }
 

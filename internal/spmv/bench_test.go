@@ -3,7 +3,9 @@ package spmv
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -229,6 +231,68 @@ func BenchmarkMultiplyTransposeSteadyState(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				routed.MultiplyTranspose(x, y)
 			}
+		})
+	}
+}
+
+// noLocalityMatrix is a ~90k-row social-network stand-in: power-law
+// degrees, ~5 nonzeros per row, and no diagonal locality, so every
+// processor's x reads scatter over the whole vector. benchMatrix's
+// Locality 0.9 hides that regime.
+func noLocalityMatrix() *sparse.CSR {
+	return gen.PowerLaw(gen.PowerLawConfig{
+		Rows: 90000, Cols: 90000, NNZ: 450000, Beta: 0.75,
+		DenseRows: 1, DenseMax: 2300, Symmetric: true, Locality: 0,
+	}, 1)
+}
+
+// BenchmarkMultiplyNoLocality runs the fused s2D engine at K=4 (a 1D
+// partition balanced by core.Balanced, as benchSetup builds it) on
+// noLocalityMatrix at nrhs 1 and 8, next to serial CSR.MulVec. Each
+// engine sub-benchmark reports speedup_vs_serial: nrhs serial MulVec
+// calls, timed as the median of 15 before the timer, over its ns/op.
+func BenchmarkMultiplyNoLocality(b *testing.B) {
+	const k = 4
+	a := noLocalityMatrix()
+	rows := baselines.RowwiseParts(a, k, baselines.Options{Seed: 1})
+	oneD := baselines.Rowwise1DFromParts(a, rows, k)
+	eng, err := NewEngine(core.Balanced(a, oneD.XPart, oneD.YPart, k, core.BalanceConfig{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	r := rand.New(rand.NewSource(2))
+	x := make([]float64, a.Cols*8)
+	for i := range x {
+		x[i] = r.Float64()
+	}
+	y := make([]float64, a.Rows*8)
+	serial := make([]time.Duration, 15)
+	for i := range serial {
+		t0 := time.Now()
+		a.MulVec(x[:a.Cols], y[:a.Rows])
+		serial[i] = time.Since(t0)
+	}
+	slices.Sort(serial)
+	serialNs := float64(serial[len(serial)/2].Nanoseconds())
+
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a.MulVec(x[:a.Cols], y[:a.Rows])
+		}
+	})
+	for _, nrhs := range []int{1, 8} {
+		b.Run(fmt.Sprintf("engine/K=%d/nrhs=%d", k, nrhs), func(b *testing.B) {
+			X, Y := x[:a.Cols*nrhs], y[:a.Rows*nrhs]
+			eng.MultiplyBlock(X, Y, nrhs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.MultiplyBlock(X, Y, nrhs)
+			}
+			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(serialNs*float64(nrhs)/perOp, "speedup_vs_serial")
 		})
 	}
 }

@@ -22,8 +22,7 @@
 package spmv
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/distrib"
 )
@@ -40,10 +39,10 @@ type packet struct {
 	yVal []float64
 }
 
-// proc holds one processor's schedule. The map-based fields describe the
-// schedule for ScheduleStats and the consistency tests; plans holds what
-// a multiply actually executes.
-type proc struct {
+// sched is one processor's share of the nonzeros as splitNZ sorts
+// them, in the forward frame. Both engines embed it; the map-based
+// fields also serve ScheduleStats and the consistency tests.
+type sched struct {
 	id int
 
 	// Owned nonzeros whose output row is local: computed in the final
@@ -54,14 +53,21 @@ type proc struct {
 	// grouped by destination part. x is always local for these under s2D.
 	preGroups map[int][]localNZ
 
-	// xNeed[dest] lists the locally-owned x indices dest requires.
+	// xNeed[dest] lists the locally-owned x indices dest requires,
+	// ascending.
 	xNeed map[int][]int
-	// extSlot maps a remote x index to a slot in the forward extX.
+	// extSlot maps a remote x index to its forward external slot.
 	extSlot map[int]int
+}
 
+// proc is one processor of the fused or two-phase engine: its schedule
+// and the plans a multiply actually executes.
+type proc struct {
+	sched
 	// plans[fwd] is compiled at construction, plans[trans] on the first
-	// transpose multiply (see transpose.go).
+	// transpose multiply (see transpose.go). Both run over loc.
 	plans [2]*plan
+	loc   localVec
 }
 
 // plan is one processor's compiled schedule in one direction. The
@@ -74,38 +80,11 @@ type plan struct {
 	// packets; ySends are the two-phase phase-1 fold packets.
 	sends  []*sendPlan
 	ySends []*sendPlan
-	// recvX[sender] maps the t-th x entry of that sender's packet to an
-	// extX slot.
+	// recvX[sender] maps the t-th x entry of that sender's packet to its
+	// position in the local vector's external tail.
 	recvX map[int][]int
 	recv  []recvPlan // one per phase, fixing fold order by sender
-
-	// Per-call buffers, sized by resize for the call's width w: nExt
-	// external x slots of w values each, the w-wide accumulator scratch
-	// of the generic block kernels, and the packet payloads' arena.
-	nExt int
-	extX []float64
-	acc  []float64
-	vals valArena
-}
-
-// resize sizes every per-call buffer of the plan for width w.
-func (p *plan) resize(w int) {
-	p.extX = growBlock(p.extX, p.nExt*w)
-	p.acc = growBlock(p.acc, w)
-	n := 0
-	for _, sp := range p.sends {
-		n += sp.buf.words()
-	}
-	for _, sp := range p.ySends {
-		n += sp.buf.words()
-	}
-	p.vals.reset(n * w)
-	for _, sp := range p.sends {
-		sp.buf.carve(&p.vals, w)
-	}
-	for _, sp := range p.ySends {
-		sp.buf.carve(&p.vals, w)
-	}
+	planIO
 }
 
 type localNZ struct {
@@ -138,17 +117,12 @@ func NewEngine(d *distrib.Distribution) (*Engine, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		e   *Engine
-		err error
-	)
-	if d.Fused {
-		e, err = newFusedEngine(d)
-	} else {
-		e, err = newTwoPhaseEngine(d)
-	}
-	if err != nil {
+	if err := checkIndexRange(d); err != nil {
 		return nil, err
+	}
+	e := &Engine{fused: d.Fused}
+	for _, sc := range splitNZ(d) {
+		e.procs = append(e.procs, &proc{sched: sc})
 	}
 	e.d = d
 	e.compileForward()
@@ -181,28 +155,55 @@ func (e *Engine) ensureWidth(d dir, w int) {
 		e.compileTranspose()
 	}
 	for _, pr := range e.procs {
-		pr.plans[d].resize(w)
+		pr.plans[d].ready(&pr.loc, w)
 	}
 }
 
-func newProcs(k int) []*proc {
-	procs := make([]*proc, k)
-	for i := range procs {
-		procs[i] = &proc{
+// splitNZ sorts d's nonzeros into K processor schedules: a nonzero
+// whose output row its owner holds joins ownRows, any other joins the
+// partial group of the row's owner, and one whose x entry lives
+// elsewhere reads an external slot that the x owner's xNeed ships.
+// Under s2D — which Validate enforces for fused distributions — every
+// partial reads owned x, so the fused and routed schedules ship
+// partials and x entries together.
+func splitNZ(d *distrib.Distribution) []sched {
+	scheds := make([]sched, d.K)
+	for i := range scheds {
+		scheds[i] = sched{
 			id:        i,
 			preGroups: make(map[int][]localNZ),
 			xNeed:     make(map[int][]int),
 			extSlot:   make(map[int]int),
 		}
 	}
-	return procs
+	d.EachNZ(func(i, j int, v float64, o int) {
+		sc := &scheds[o]
+		nz := localNZ{row: i, src: j, val: v}
+		if xo := d.XPart[j]; xo != o {
+			nz.src = -(sc.slotFor(&scheds[xo], j) + 1)
+		}
+		if yo := d.YPart[i]; yo == o {
+			sc.ownRows = append(sc.ownRows, nz)
+		} else {
+			sc.preGroups[yo] = append(sc.preGroups[yo], nz)
+		}
+	})
+	for _, sc := range scheds {
+		for dst, idxs := range sc.xNeed { //spmvlint:unordered each list is sorted on its own
+			sc.xNeed[dst] = dedupSorted(idxs)
+		}
+	}
+	return scheds
 }
 
-func (p *proc) slotFor(j int) int {
+// slotFor returns x_j's external slot, allocating it on first use and
+// recording that owner ships x_j here.
+func (p *sched) slotFor(owner *sched, j int) int {
 	s, ok := p.extSlot[j]
 	if !ok {
 		s = len(p.extSlot)
 		p.extSlot[j] = s
+		owner.xNeed[p.id] = append(owner.xNeed[p.id], j)
 	}
 	return s
 }
@@ -210,13 +211,15 @@ func (p *proc) slotFor(j int) int {
 // compilePlan lowers one processor's schedule in one direction's frame
 // to a plan: own is the Compute set, pre[dst] the partials shipped to
 // dst, xOut[dst] the x indices shipped to dst, and nExt the number of
-// external x slots the own and partial kernels read. A fused plan ships
+// external x slots the own and partial kernels read; the kernels are
+// localized by lz to the plan's local vector. A fused plan ships
 // x entries and partials together in one packet per destination; a
 // two-phase plan ships the x entries in phase 0 and the partials in
 // phase 1. Destinations ascend, so packet emission is deterministic.
 // The receive side is wired by linkPlans.
-func compilePlan(id int, fused bool, own []localNZ, pre map[int][]localNZ, xOut map[int][]int, nExt int) *plan {
-	p := &plan{own: compileRows(own), recvX: make(map[int][]int), nExt: nExt}
+func compilePlan(lz localizer, id int, fused bool, own []localNZ, pre map[int][]localNZ, xOut map[int][]int, nExt int) *plan {
+	p := &plan{own: compileRows(own), recvX: make(map[int][]int)}
+	p.nExt = nExt
 	if fused {
 		dests := make(map[int]struct{}, len(xOut)+len(pre))
 		for dst := range xOut {
@@ -228,22 +231,28 @@ func compilePlan(id int, fused bool, own []localNZ, pre map[int][]localNZ, xOut 
 		for _, dst := range sortedKeys(dests) {
 			p.sends = append(p.sends, newSendPlan(id, dst, xOut[dst], compileRows(pre[dst])))
 		}
-		return p
+	} else {
+		for _, dst := range sortedKeys(xOut) {
+			p.sends = append(p.sends, newSendPlan(id, dst, xOut[dst], rowKernel{}))
+		}
+		for _, dst := range sortedKeys(pre) {
+			p.ySends = append(p.ySends, newSendPlan(id, dst, nil, compileRows(pre[dst])))
+		}
 	}
-	for _, dst := range sortedKeys(xOut) {
-		p.sends = append(p.sends, newSendPlan(id, dst, xOut[dst], rowKernel{}))
+	ks := []*rowKernel{&p.own}
+	for _, sp := range slices.Concat(p.sends, p.ySends) {
+		ks = append(ks, &sp.grp)
+		p.out = append(p.out, &sp.buf)
 	}
-	for _, dst := range sortedKeys(pre) {
-		p.ySends = append(p.ySends, newSendPlan(id, dst, nil, compileRows(pre[dst])))
-	}
+	p.ownIdx = lz.localize(ks...)
 	return p
 }
 
 // linkPlans wires the receive side of one direction's plans: each
 // destination expects one packet per phase from every processor that
 // sends it one, in ascending sender order, and translates each
-// sender's fixed x payload into its extX slots through ext, the
-// destination's index→slot map in that direction.
+// sender's fixed x payload into its local vector's external tail through
+// ext, the destination's index→slot map in that direction.
 func linkPlans(plans []*plan, ext []map[int]int, phases int) {
 	senders := make([][][]int, len(plans))
 	for i := range senders {
@@ -254,7 +263,7 @@ func linkPlans(plans []*plan, ext []map[int]int, phases int) {
 			senders[sp.dest][0] = append(senders[sp.dest][0], from)
 			slots := make([]int, len(sp.buf.xIdx))
 			for t, j := range sp.buf.xIdx {
-				slots[t] = ext[sp.dest][j]
+				slots[t] = len(plans[sp.dest].ownIdx) + ext[sp.dest][j]
 			}
 			plans[sp.dest].recvX[from] = slots
 		}
@@ -273,60 +282,13 @@ func linkPlans(plans []*plan, ext []map[int]int, phases int) {
 func (e *Engine) compileForward() {
 	plans := make([]*plan, len(e.procs))
 	ext := make([]map[int]int, len(e.procs))
+	lz := newLocalizer(e.d.A.Cols)
 	for i, pr := range e.procs {
-		plans[i] = compilePlan(pr.id, e.fused, pr.ownRows, pr.preGroups, pr.xNeed, len(pr.extSlot))
+		plans[i] = compilePlan(lz, pr.id, e.fused, pr.ownRows, pr.preGroups, pr.xNeed, len(pr.extSlot))
 		ext[i] = pr.extSlot
 		pr.plans[fwd] = plans[i]
 	}
 	linkPlans(plans, ext, e.phases())
-}
-
-// newFusedEngine builds the §III schedule: every nonzero is x-local or
-// y-local; x-local/y-remote nonzeros are precomputed and their partials
-// ride in the same packet as the x entries the destination needs.
-func newFusedEngine(d *distrib.Distribution) (*Engine, error) {
-	procs := newProcs(d.K)
-
-	// xWant[owner][dest] tracks the set of x indices dest needs from owner.
-	type pair struct{ from, to int }
-	xWant := make(map[pair]map[int]struct{})
-
-	var s2dErr error
-	d.EachNZ(func(i, j int, v float64, o int) {
-		if s2dErr != nil {
-			return
-		}
-		yOwner := d.YPart[i]
-		xOwner := d.XPart[j]
-		pr := procs[o]
-		switch {
-		case o == yOwner && o == xOwner:
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: j, val: v})
-		case o == yOwner: // x remote: request x_j from its owner
-			key := pair{from: xOwner, to: o}
-			if xWant[key] == nil {
-				xWant[key] = make(map[int]struct{})
-			}
-			xWant[key][j] = struct{}{}
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: -(pr.slotFor(j) + 1), val: v})
-		case o == xOwner: // y remote: precompute, ship the partial
-			pr.preGroups[yOwner] = append(pr.preGroups[yOwner], localNZ{row: i, src: j, val: v})
-		default:
-			s2dErr = fmt.Errorf("spmv: nonzero (%d,%d) violates s2D", i, j)
-		}
-	})
-	if s2dErr != nil {
-		return nil, s2dErr
-	}
-	for key, set := range xWant { //spmvlint:unordered per-key independent writes; idxs are sorted before use
-		idxs := make([]int, 0, len(set))
-		for j := range set {
-			idxs = append(idxs, j)
-		}
-		sort.Ints(idxs)
-		procs[key.from].xNeed[key.to] = idxs
-	}
-	return &Engine{procs: procs, fused: true}, nil
 }
 
 // compiledGroupRows returns the distinct rows a fold group will ship —
@@ -342,64 +304,30 @@ func compiledGroupRows(nzs []localNZ) []int {
 	return dedupSorted(rows)
 }
 
-// newTwoPhaseEngine builds the classic expand/fold schedule used by 2D
-// partitions: phase 0 ships x entries to nonzero owners, phase 1 ships
-// partial y results to row owners.
-func newTwoPhaseEngine(d *distrib.Distribution) (*Engine, error) {
-	procs := newProcs(d.K)
-
-	type pair struct{ from, to int }
-	xWant := make(map[pair]map[int]struct{})
-
-	d.EachNZ(func(i, j int, v float64, o int) {
-		yOwner := d.YPart[i]
-		pr := procs[o]
-		src := j
-		if d.XPart[j] != o {
-			key := pair{from: d.XPart[j], to: o}
-			if xWant[key] == nil {
-				xWant[key] = make(map[int]struct{})
-			}
-			xWant[key][j] = struct{}{}
-			src = -(pr.slotFor(j) + 1)
-		}
-		if yOwner == o {
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: src, val: v})
-		} else {
-			pr.preGroups[yOwner] = append(pr.preGroups[yOwner], localNZ{row: i, src: src, val: v})
-		}
-	})
-	for key, set := range xWant { //spmvlint:unordered per-key independent writes; idxs are sorted before use
-		idxs := make([]int, 0, len(set))
-		for j := range set {
-			idxs = append(idxs, j)
-		}
-		sort.Ints(idxs)
-		procs[key.from].xNeed[key.to] = idxs
-	}
-	return &Engine{procs: procs, fused: false}, nil
-}
-
 // runFused executes one processor's part of the §III algorithm in
-// either direction: fill the precompiled [x̂,ŷ] packets (Precompute +
-// Expand-and-Fold), bank the incoming ones in sender order, then run
-// the local Compute kernel. Under s2D every partial reads local x only.
+// either direction: gather the owned x entries into the local vector,
+// fill the precompiled [x̂,ŷ] packets (Precompute + Expand-and-Fold),
+// bank the incoming ones in sender order, then run the local Compute
+// kernel. Under s2D every partial reads owned x only, so the packets
+// fill before any external slot has arrived.
 //
 //spmv:hotpath
 func (e *Engine) runFused(pr *proc, p *plan, x, y []float64, w int, kid kernelID) {
 	in := e.pool.inbox
 	pc := e.phaseClock(pr)
+	xl := pr.loc.xl
+	gatherW(xl, x, p.ownIdx, w)
 	for _, sp := range p.sends {
-		sp.fill(kid, x, p.extX, w)
+		sp.fill(kid, x, xl, w)
 		in[sp.dest][0] <- sp.buf
 	}
 	pc.lap(&e.pt.expandNs)
 	for _, pk := range p.recv[0].gather(in[pr.id][0]) {
-		scatterW(p.extX, pk.xVal, p.recvX[pk.from], w)
+		scatterW(xl, pk.xVal, p.recvX[pk.from], w)
 		scatterAddW(y, pk.yVal, pk.yIdx, w) // outputs owned exclusively by this proc
 	}
 	pc.lap(&e.pt.foldNs)
-	p.own.addIntoK(kid, y, x, p.extX, w, p.acc)
+	p.own.addIntoK(kid, y, xl, w, pr.loc.acc)
 	pc.lap(&e.pt.computeNs)
 }
 
@@ -410,21 +338,23 @@ func (e *Engine) runFused(pr *proc, p *plan, x, y []float64, w int, kid kernelID
 func (e *Engine) runTwoPhase(pr *proc, p *plan, x, y []float64, w int, kid kernelID) {
 	in := e.pool.inbox
 	pc := e.phaseClock(pr)
+	xl := pr.loc.xl
+	gatherW(xl, x, p.ownIdx, w)
 	// Phase 0 — Expand.
 	for _, sp := range p.sends {
-		sp.fill(kid, x, p.extX, w)
+		sp.fill(kid, x, xl, w)
 		in[sp.dest][0] <- sp.buf
 	}
 	for _, pk := range p.recv[0].gather(in[pr.id][0]) {
-		scatterW(p.extX, pk.xVal, p.recvX[pk.from], w)
+		scatterW(xl, pk.xVal, p.recvX[pk.from], w)
 	}
 	pc.lap(&e.pt.expandNs)
 	// Multiply.
-	p.own.addIntoK(kid, y, x, p.extX, w, p.acc)
+	p.own.addIntoK(kid, y, xl, w, pr.loc.acc)
 	pc.lap(&e.pt.computeNs)
 	// Phase 1 — Fold.
 	for _, sp := range p.ySends {
-		sp.fill(kid, x, p.extX, w)
+		sp.fill(kid, x, xl, w)
 		in[sp.dest][1] <- sp.buf
 	}
 	for _, pk := range p.recv[1].gather(in[pr.id][1]) {

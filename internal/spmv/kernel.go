@@ -6,11 +6,11 @@ package spmv
 // receive order — is backend-independent; a backend only changes how a
 // rowKernel's slots are walked at a given width:
 //
-//   - scalar: one variable-width run per slot. The reference backend.
-//   - reg:    register-blocked SpMM loops for w ∈ {2, 4, 8}
-//             (kernel_width.go): fixed-width accumulators live in
-//             registers and the per-column bounds checks of the generic
-//             `for c := range acc` loop disappear. Other widths run the
+//   - scalar: the variable-width loops over each slot's run. The
+//             reference backend.
+//   - reg:    SpMM loops specialized for w ∈ {2, 4, 8}
+//             (kernel_width.go): all w accumulators live in registers
+//             for one sweep of each slot's run. Other widths run the
 //             scalar loops. Results are bitwise identical to scalar.
 //
 // Width 1 always runs the single-vector loops, whatever the backend.
@@ -125,18 +125,18 @@ func (ks *kernelState) report() KernelReport {
 // one, the generic block loop otherwise.
 //
 //spmv:hotpath
-func (k *rowKernel) addIntoK(kid kernelID, dst, x, ext []float64, w int, acc []float64) {
+func (k *rowKernel) addIntoK(kid kernelID, dst, xl []float64, w int, acc []float64) {
 	switch {
 	case w == 1:
-		k.addInto(dst, x, ext)
+		k.addInto(dst, xl)
 	case kid == kernReg && w == 2:
-		k.addIntoBlock2(dst, x, ext)
+		k.addIntoBlock2(dst, xl)
 	case kid == kernReg && w == 4:
-		k.addIntoBlock4(dst, x, ext)
+		k.addIntoBlock4(dst, xl)
 	case kid == kernReg && w == 8:
-		k.addIntoBlock8(dst, x, ext)
+		k.addIntoBlock8(dst, xl)
 	default:
-		k.addIntoBlock(dst, x, ext, w, acc)
+		k.addIntoBlock(dst, xl, w, acc)
 	}
 }
 
@@ -144,17 +144,17 @@ func (k *rowKernel) addIntoK(kid kernelID, dst, x, ext []float64, w int, acc []f
 // backend (see addIntoK).
 //
 //spmv:hotpath
-func (k *rowKernel) fillIntoK(kid kernelID, dst, x, ext []float64, w int) {
+func (k *rowKernel) fillIntoK(kid kernelID, dst, xl []float64, w int) {
 	switch {
 	case w == 1:
-		k.fillInto(dst, x, ext)
+		k.fillInto(dst, xl)
 	case kid == kernReg && w == 2:
-		k.fillIntoBlock2(dst, x, ext)
+		k.fillIntoBlock2(dst, xl)
 	case kid == kernReg && w == 4:
-		k.fillIntoBlock4(dst, x, ext)
+		k.fillIntoBlock4(dst, xl)
 	case kid == kernReg && w == 8:
-		k.fillIntoBlock8(dst, x, ext)
+		k.fillIntoBlock8(dst, xl)
 	default:
-		k.fillIntoBlock(dst, x, ext, w)
+		k.fillIntoBlock(dst, xl, w)
 	}
 }

@@ -2,30 +2,24 @@ package spmv
 
 // Width-specialized SpMM loops (the "reg" backend).
 //
-// The reg loops exist because the generic valueBlock keeps its w
-// accumulators in a scratch slice: every `acc[c] += v * xs[c]` pays a
-// bounds check and a store the compiler cannot hoist, because acc's
-// length is only known at run time. With the width fixed at compile
-// time the accumulators become locals the compiler keeps in registers,
-// and slicing xs to a constant length (`x[j*4 : j*4+4]`) eliminates the
-// per-column checks. Per column the nonzeros still accumulate in
-// exactly the scalar order — local run then external run, q ascending —
-// so every reg result is bitwise identical to the generic path.
+// The generic valueBlock does not know w at compile time: it sweeps a
+// slot's run once per four columns and stores each slot's sums through
+// the acc scratch before they reach the output. With the width fixed at
+// compile time all w accumulators live in registers for one sweep of
+// the run and go straight to the output, and slicing xs to a constant
+// length (`xl[j*4 : j*4+4]`) eliminates the per-column checks. Per
+// column the nonzeros still accumulate in exactly the scalar order —
+// each slot's one run, q ascending — so every reg result is bitwise
+// identical to the generic path.
 
 // ---- reg: width 2 ----
 
-func (k *rowKernel) addIntoBlock2(dst, x, ext []float64) {
+func (k *rowKernel) addIntoBlock2(dst, xl []float64) {
 	for t, row := range k.rows {
 		var a0, a1 float64
-		for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-			v := k.locVal[q]
-			xs := x[k.locSrc[q]*2 : k.locSrc[q]*2+2]
-			a0 += v * xs[0]
-			a1 += v * xs[1]
-		}
-		for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-			v := k.extVal[q]
-			xs := ext[k.extSrc[q]*2 : k.extSrc[q]*2+2]
+		src, val := k.run(t)
+		for q, j := range src {
+			v, xs := val[q], xl[int(j)*2:int(j)*2+2]
 			a0 += v * xs[0]
 			a1 += v * xs[1]
 		}
@@ -35,18 +29,12 @@ func (k *rowKernel) addIntoBlock2(dst, x, ext []float64) {
 	}
 }
 
-func (k *rowKernel) fillIntoBlock2(dst, x, ext []float64) {
+func (k *rowKernel) fillIntoBlock2(dst, xl []float64) {
 	for t := range k.rows {
 		var a0, a1 float64
-		for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-			v := k.locVal[q]
-			xs := x[k.locSrc[q]*2 : k.locSrc[q]*2+2]
-			a0 += v * xs[0]
-			a1 += v * xs[1]
-		}
-		for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-			v := k.extVal[q]
-			xs := ext[k.extSrc[q]*2 : k.extSrc[q]*2+2]
+		src, val := k.run(t)
+		for q, j := range src {
+			v, xs := val[q], xl[int(j)*2:int(j)*2+2]
 			a0 += v * xs[0]
 			a1 += v * xs[1]
 		}
@@ -58,20 +46,12 @@ func (k *rowKernel) fillIntoBlock2(dst, x, ext []float64) {
 
 // ---- reg: width 4 ----
 
-func (k *rowKernel) addIntoBlock4(dst, x, ext []float64) {
+func (k *rowKernel) addIntoBlock4(dst, xl []float64) {
 	for t, row := range k.rows {
 		var a0, a1, a2, a3 float64
-		for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-			v := k.locVal[q]
-			xs := x[k.locSrc[q]*4 : k.locSrc[q]*4+4]
-			a0 += v * xs[0]
-			a1 += v * xs[1]
-			a2 += v * xs[2]
-			a3 += v * xs[3]
-		}
-		for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-			v := k.extVal[q]
-			xs := ext[k.extSrc[q]*4 : k.extSrc[q]*4+4]
+		src, val := k.run(t)
+		for q, j := range src {
+			v, xs := val[q], xl[int(j)*4:int(j)*4+4]
 			a0 += v * xs[0]
 			a1 += v * xs[1]
 			a2 += v * xs[2]
@@ -85,20 +65,12 @@ func (k *rowKernel) addIntoBlock4(dst, x, ext []float64) {
 	}
 }
 
-func (k *rowKernel) fillIntoBlock4(dst, x, ext []float64) {
+func (k *rowKernel) fillIntoBlock4(dst, xl []float64) {
 	for t := range k.rows {
 		var a0, a1, a2, a3 float64
-		for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-			v := k.locVal[q]
-			xs := x[k.locSrc[q]*4 : k.locSrc[q]*4+4]
-			a0 += v * xs[0]
-			a1 += v * xs[1]
-			a2 += v * xs[2]
-			a3 += v * xs[3]
-		}
-		for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-			v := k.extVal[q]
-			xs := ext[k.extSrc[q]*4 : k.extSrc[q]*4+4]
+		src, val := k.run(t)
+		for q, j := range src {
+			v, xs := val[q], xl[int(j)*4:int(j)*4+4]
 			a0 += v * xs[0]
 			a1 += v * xs[1]
 			a2 += v * xs[2]
@@ -114,24 +86,12 @@ func (k *rowKernel) fillIntoBlock4(dst, x, ext []float64) {
 
 // ---- reg: width 8 ----
 
-func (k *rowKernel) addIntoBlock8(dst, x, ext []float64) {
+func (k *rowKernel) addIntoBlock8(dst, xl []float64) {
 	for t, row := range k.rows {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-			v := k.locVal[q]
-			xs := x[k.locSrc[q]*8 : k.locSrc[q]*8+8]
-			a0 += v * xs[0]
-			a1 += v * xs[1]
-			a2 += v * xs[2]
-			a3 += v * xs[3]
-			a4 += v * xs[4]
-			a5 += v * xs[5]
-			a6 += v * xs[6]
-			a7 += v * xs[7]
-		}
-		for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-			v := k.extVal[q]
-			xs := ext[k.extSrc[q]*8 : k.extSrc[q]*8+8]
+		src, val := k.run(t)
+		for q, j := range src {
+			v, xs := val[q], xl[int(j)*8:int(j)*8+8]
 			a0 += v * xs[0]
 			a1 += v * xs[1]
 			a2 += v * xs[2]
@@ -153,24 +113,12 @@ func (k *rowKernel) addIntoBlock8(dst, x, ext []float64) {
 	}
 }
 
-func (k *rowKernel) fillIntoBlock8(dst, x, ext []float64) {
+func (k *rowKernel) fillIntoBlock8(dst, xl []float64) {
 	for t := range k.rows {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-			v := k.locVal[q]
-			xs := x[k.locSrc[q]*8 : k.locSrc[q]*8+8]
-			a0 += v * xs[0]
-			a1 += v * xs[1]
-			a2 += v * xs[2]
-			a3 += v * xs[3]
-			a4 += v * xs[4]
-			a5 += v * xs[5]
-			a6 += v * xs[6]
-			a7 += v * xs[7]
-		}
-		for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-			v := k.extVal[q]
-			xs := ext[k.extSrc[q]*8 : k.extSrc[q]*8+8]
+		src, val := k.run(t)
+		for q, j := range src {
+			v, xs := val[q], xl[int(j)*8:int(j)*8+8]
 			a0 += v * xs[0]
 			a1 += v * xs[1]
 			a2 += v * xs[2]

@@ -3,9 +3,12 @@ package spmv
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/distrib"
 )
 
 // This file holds the compiled execution plan shared by all three
@@ -14,10 +17,12 @@ import (
 // consistency tests), then compile it down to flat arrays so the
 // steady-state Multiply performs zero heap allocations:
 //
-//   - segKernel / rowKernel: branch-free SoA CSR segments. Each output
-//     slot has one run of local-x nonzeros and one run of external-x
-//     nonzeros, so the inner loops never test the sign-encoded src that
-//     localNZ uses at build time.
+//   - segKernel / rowKernel: branch-free SoA CSR, one run of int32
+//     positions per output slot over the processor's local vector xl
+//     (see localizer): the owned x entries the plan reads, gathered
+//     once per call, then the external slots the receives fill. The
+//     inner loops never test the sign-encoded src that localNZ uses at
+//     build time, and never touch the caller's scattered x.
 //   - sendPlan / fwdPlan: a packet with fixed index arrays built once;
 //     only the value arrays are refilled per call.
 //   - recvPlan: fixes the fold order of incoming packets by sender
@@ -29,56 +34,66 @@ import (
 // current call; w = 1 is the single-vector layout, and every helper
 // below routes it onto the plain scalar loops.
 
-// segKernel is a pair of CSR-style nonzero runs per output slot t:
-// a local run reading x directly and an external run reading the
-// proc's extX (or any other gathered buffer).
+// segKernel is one CSR run per output slot t: val[q] times xl[src[q]]
+// for q in [ptr[t], ptr[t+1]), where xl is the processor's local vector
+// (see localizer). Within a slot the nonzeros reading owned x come first
+// and those reading external slots follow, each in build order — the
+// accumulation order the engine's output bits are pinned to.
 type segKernel struct {
-	locPtr []int
-	locSrc []int
-	locVal []float64
-	extPtr []int
-	extSrc []int
-	extVal []float64
+	ptr []int32
+	src []int32
+	val []float64
+}
+
+// run returns slot t's local-vector positions and values, equal in
+// length, so the loops over them index val without a bounds check.
+func (k *segKernel) run(t int) ([]int32, []float64) {
+	lo, hi := k.ptr[t], k.ptr[t+1]
+	src := k.src[lo:hi]
+	return src, k.val[lo:hi][:len(src)]
 }
 
 // value computes slot t's dot-product contribution.
 //
 //spmv:hotpath
-func (k *segKernel) value(t int, x, ext []float64) float64 {
+func (k *segKernel) value(t int, xl []float64) float64 {
+	src, val := k.run(t)
 	s := 0.0
-	for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-		s += k.locVal[q] * x[k.locSrc[q]]
-	}
-	for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-		s += k.extVal[q] * ext[k.extSrc[q]]
+	for q, j := range src {
+		s += val[q] * xl[j]
 	}
 	return s
 }
 
 // valueBlock computes slot t's contribution for all w columns into
-// acc[0:w]. x and ext use the column-blocked layout. Per column, the
-// nonzeros accumulate in exactly the order value uses, so every column
-// reproduces the single-vector result bit for bit.
+// acc[0:w]. xl uses the column-blocked layout. Columns go four at a time
+// through register accumulators, the rest one at a time; per column the
+// nonzeros accumulate from zero in exactly the order value uses, so
+// every column reproduces the single-vector result bit for bit.
 //
 //spmv:hotpath
-func (k *segKernel) valueBlock(t int, x, ext []float64, w int, acc []float64) {
+func (k *segKernel) valueBlock(t int, xl []float64, w int, acc []float64) {
 	acc = acc[:w]
-	for c := range acc {
-		acc[c] = 0
-	}
-	for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-		v := k.locVal[q]
-		xs := x[k.locSrc[q]*w:]
-		for c := range acc {
-			acc[c] += v * xs[c]
+	src, val := k.run(t)
+	c := 0
+	for ; c+4 <= w; c += 4 {
+		var a0, a1, a2, a3 float64
+		for q, j := range src {
+			v, xs := val[q], xl[int(j)*w+c:][:4]
+			a0 += v * xs[0]
+			a1 += v * xs[1]
+			a2 += v * xs[2]
+			a3 += v * xs[3]
 		}
+		out := acc[c:][:4]
+		out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 	}
-	for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-		v := k.extVal[q]
-		xs := ext[k.extSrc[q]*w:]
-		for c := range acc {
-			acc[c] += v * xs[c]
+	for ; c < w; c++ {
+		a := 0.0
+		for q, j := range src {
+			a += val[q] * xl[int(j)*w+c]
 		}
+		acc[c] = a
 	}
 }
 
@@ -92,9 +107,9 @@ type rowKernel struct {
 // addInto accumulates every slot's value into dst[rows[t]].
 //
 //spmv:hotpath
-func (k *rowKernel) addInto(dst, x, ext []float64) {
+func (k *rowKernel) addInto(dst, xl []float64) {
 	for t, row := range k.rows {
-		dst[row] += k.value(t, x, ext)
+		dst[row] += k.value(t, xl)
 	}
 }
 
@@ -102,9 +117,9 @@ func (k *rowKernel) addInto(dst, x, ext []float64) {
 // len(k.rows) entries (a packet's yVal buffer).
 //
 //spmv:hotpath
-func (k *rowKernel) fillInto(dst, x, ext []float64) {
+func (k *rowKernel) fillInto(dst, xl []float64) {
 	for t := range k.rows {
-		dst[t] = k.value(t, x, ext)
+		dst[t] = k.value(t, xl)
 	}
 }
 
@@ -114,9 +129,9 @@ func (k *rowKernel) fillInto(dst, x, ext []float64) {
 // floating-point order identical to value(), not just close.
 //
 //spmv:hotpath
-func (k *rowKernel) addIntoBlock(dst, x, ext []float64, w int, acc []float64) {
+func (k *rowKernel) addIntoBlock(dst, xl []float64, w int, acc []float64) {
 	for t, row := range k.rows {
-		k.valueBlock(t, x, ext, w, acc)
+		k.valueBlock(t, xl, w, acc)
 		out := dst[row*w : (row+1)*w]
 		for c := range out {
 			out[c] += acc[c]
@@ -128,21 +143,22 @@ func (k *rowKernel) addIntoBlock(dst, x, ext []float64, w int, acc []float64) {
 // dst[t*w : (t+1)*w] (a packet's yVal buffer).
 //
 //spmv:hotpath
-func (k *rowKernel) fillIntoBlock(dst, x, ext []float64, w int) {
+func (k *rowKernel) fillIntoBlock(dst, xl []float64, w int) {
 	for t := range k.rows {
-		k.valueBlock(t, x, ext, w, dst[t*w:(t+1)*w])
+		k.valueBlock(t, xl, w, dst[t*w:(t+1)*w])
 	}
 }
 
 // compileRows groups build-time nonzeros by output row into a rowKernel
-// with sorted distinct rows and separated local/external runs.
+// with sorted distinct rows, each slot's local nonzeros ahead of its
+// external ones. src keeps the build encoding (global index ≥ 0, or
+// external slot s as -(s+1)) until localize rewrites it.
 //
 //spmv:deterministic
 func compileRows(nzs []localNZ) rowKernel {
 	var k rowKernel
 	if len(nzs) == 0 {
-		k.locPtr = []int{0}
-		k.extPtr = []int{0}
+		k.ptr = []int32{0}
 		return k
 	}
 	rows := make([]int, 0, len(nzs))
@@ -158,40 +174,127 @@ func compileRows(nzs []localNZ) rowKernel {
 		return t
 	}
 	k.rows = rows
-	k.locPtr = make([]int, len(rows)+1)
-	k.extPtr = make([]int, len(rows)+1)
-	for _, nz := range nzs {
-		if nz.src >= 0 {
-			k.locPtr[slot(nz.row)+1]++
-		} else {
-			k.extPtr[slot(nz.row)+1]++
-		}
-	}
-	for t := 0; t < len(rows); t++ {
-		k.locPtr[t+1] += k.locPtr[t]
-		k.extPtr[t+1] += k.extPtr[t]
-	}
-	k.locSrc = make([]int, k.locPtr[len(rows)])
-	k.locVal = make([]float64, k.locPtr[len(rows)])
-	k.extSrc = make([]int, k.extPtr[len(rows)])
-	k.extVal = make([]float64, k.extPtr[len(rows)])
-	locPos := slices.Clone(k.locPtr[:len(rows)])
-	extPos := slices.Clone(k.extPtr[:len(rows)])
+	// ext[t] counts slot t's external nonzeros, then becomes the cursor
+	// of its external run; loc is the cursor of its local run.
+	k.ptr = make([]int32, len(rows)+1)
+	ext := make([]int32, len(rows))
 	for _, nz := range nzs {
 		t := slot(nz.row)
-		if nz.src >= 0 {
-			p := locPos[t]
-			locPos[t]++
-			k.locSrc[p] = nz.src
-			k.locVal[p] = nz.val
-		} else {
-			p := extPos[t]
-			extPos[t]++
-			k.extSrc[p] = -(nz.src + 1)
-			k.extVal[p] = nz.val
+		k.ptr[t+1]++
+		if nz.src < 0 {
+			ext[t]++
 		}
 	}
+	loc := make([]int32, len(rows))
+	for t := range rows {
+		k.ptr[t+1] += k.ptr[t]
+		loc[t] = k.ptr[t]
+		ext[t] = k.ptr[t+1] - ext[t]
+	}
+	k.src = make([]int32, len(nzs))
+	k.val = make([]float64, len(nzs))
+	for _, nz := range nzs {
+		t := slot(nz.row)
+		cur := &loc[t]
+		if nz.src < 0 {
+			cur = &ext[t]
+		}
+		k.src[*cur] = int32(nz.src)
+		k.val[*cur] = nz.val
+		*cur++
+	}
 	return k
+}
+
+// localizer rewrites the build-encoded src of every kernel of one plan
+// to positions in the processor's local vector
+//
+//	xl = [x[ownIdx[0]], …, x[ownIdx[nOwn-1]] | external slot 0, …, nExt-1]
+//
+// where ownIdx lists the owned x entries the kernels read, ascending. A
+// call gathers the head from the caller's x once and receives external
+// values straight into the tail, so every kernel reads one compact
+// vector instead of scattered entries of the caller's x. pos is scratch
+// over the direction's x index space, shared by every plan one compile
+// localizes and all zero between plans.
+type localizer struct{ pos []int32 }
+
+func newLocalizer(n int) localizer { return localizer{pos: make([]int32, n)} }
+
+// localize rewrites ks in place and returns their ownIdx.
+func (l localizer) localize(ks ...*rowKernel) (ownIdx []int) {
+	for _, k := range ks {
+		for _, s := range k.src {
+			if s >= 0 && l.pos[s] == 0 {
+				l.pos[s] = 1
+				ownIdx = append(ownIdx, int(s))
+			}
+		}
+	}
+	slices.Sort(ownIdx)
+	ownIdx = slices.Clone(ownIdx) // drop append's slack: the plan keeps it
+	for t, j := range ownIdx {
+		l.pos[j] = int32(t)
+	}
+	nOwn := int32(len(ownIdx))
+	for _, k := range ks {
+		for q, s := range k.src {
+			if s >= 0 {
+				k.src[q] = l.pos[s]
+			} else {
+				k.src[q] = nOwn - (s + 1)
+			}
+		}
+	}
+	for _, j := range ownIdx {
+		l.pos[j] = 0
+	}
+	return ownIdx
+}
+
+// checkIndexRange rejects a distribution whose index spaces overflow
+// the kernels' int32 positions and run bounds.
+func checkIndexRange(d *distrib.Distribution) error {
+	if a := d.A; max(a.Rows, a.Cols, a.NNZ()) > math.MaxInt32 {
+		return fmt.Errorf("spmv: %dx%d matrix with %d nonzeros exceeds the engine's int32 index range", a.Rows, a.Cols, a.NNZ())
+	}
+	return nil
+}
+
+// localVec is one processor's per-call scratch: the local vector xl the
+// kernels read and the w-wide accumulator of the generic block kernels.
+// Nothing in it outlives a call, so the forward and transpose plans
+// share it; each (direction, width) change re-slices it.
+type localVec struct {
+	xl  []float64
+	acc []float64
+}
+
+// planIO is what both plan types size per call: the layout of the
+// processor's local vector and the payloads of the outgoing packets.
+type planIO struct {
+	// The local vector every kernel reads holds the owned x entries at
+	// ownIdx, then nExt external slots (see localizer).
+	ownIdx []int
+	nExt   int
+	// out lists the plan's outgoing packets; vals backs their payloads.
+	out  []*packet
+	vals valArena
+}
+
+// ready carves the packet payloads for width w and slices the
+// processor's local vector for it.
+func (io *planIO) ready(loc *localVec, w int) {
+	n := 0
+	for _, pk := range io.out {
+		n += pk.words()
+	}
+	io.vals.reset(n * w)
+	for _, pk := range io.out {
+		pk.carve(&io.vals, w)
+	}
+	loc.xl = growBlock(loc.xl, (len(io.ownIdx)+io.nExt)*w)
+	loc.acc = growBlock(loc.acc, w)
 }
 
 // valArena carves one plan's packet payloads out of a single backing
@@ -239,14 +342,14 @@ func newSendPlan(from, dest int, xIdx []int, grp rowKernel) *sendPlan {
 	return &sendPlan{dest: dest, grp: grp, buf: packet{from: from, xIdx: xIdx, yIdx: grp.rows}}
 }
 
-// fill refreshes the packet's value arrays from the current x (and the
-// proc's external buffer for two-phase fold groups) under the given
-// kernel backend.
+// fill refreshes the packet's value arrays: the x entries from the
+// caller's x, the partials from the proc's local vector xl, under the
+// given kernel backend.
 //
 //spmv:hotpath
-func (sp *sendPlan) fill(kid kernelID, x, ext []float64, w int) {
+func (sp *sendPlan) fill(kid kernelID, x, xl []float64, w int) {
 	gatherW(sp.buf.xVal, x, sp.buf.xIdx, w)
-	sp.grp.fillIntoK(kid, sp.buf.yVal, x, ext, w)
+	sp.grp.fillIntoK(kid, sp.buf.yVal, xl, w)
 }
 
 // growBlock returns s re-sliced to n entries, reallocating only when the

@@ -2,6 +2,7 @@ package spmv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -26,11 +27,10 @@ type RoutedEngine struct {
 	rprocs []*rproc
 }
 
+// rproc is one processor of the routed engine: its schedule, the
+// two-hop routing tables built from it, and the compiled plans.
 type rproc struct {
-	id int
-
-	ownRows   []localNZ         // nonzeros with local output row
-	preGroups map[int][]localNZ // x-local nonzeros grouped by final y owner
+	sched
 
 	// Phase-1 x payloads: hop1X[mid] lists locally-owned x indices routed
 	// via mid. Phase-2 forwarding schedule at an intermediate:
@@ -41,8 +41,6 @@ type rproc struct {
 	// Static sender sets per phase (destinations this proc will message).
 	phase1Dests map[int]struct{}
 	phase2Dests map[int]struct{}
-
-	extSlot map[int]int
 
 	// Dense slot layouts of the routing buffers: xSlot maps a routed x
 	// column index to its column-space slot, ySlot a combined y row to
@@ -58,8 +56,9 @@ type rproc struct {
 	route [2][]float64
 
 	// plans[fwd] is compiled at construction, plans[trans] on the first
-	// transpose multiply (see routed_transpose.go).
+	// transpose multiply (see routed_transpose.go). Both run over loc.
 	plans [2]*rplan
+	loc   localVec
 }
 
 // Routing-buffer spaces (see rproc.route).
@@ -80,7 +79,7 @@ type rplan struct {
 	// own intermediate, carry[seedSlot[t]] = x[seedIdx[t]].
 	seedSlot, seedIdx []int
 	// self accumulates partials routed through this proc itself straight
-	// into comb; its rows are comb slots. It reads local x only.
+	// into comb; its rows are comb slots. It reads owned x only.
 	self rowKernel
 	// Phase-1 packets to the intermediates, sorted by destination.
 	hop1 []*sendPlan
@@ -88,12 +87,13 @@ type rplan struct {
 	// into carry slots, partials combined into comb slots.
 	hop1Recv map[int]hopRecv
 	// extSlot/extFrom: routed x values this proc consumes itself,
-	// extX[extSlot[t]] = carry[extFrom[t]] once phase 1 is in.
+	// xl[extSlot[t]] = carry[extFrom[t]] once phase 1 is in.
 	extSlot, extFrom []int
 	// Phase-2 forwards, sorted by destination: values gathered from the
 	// routing buffers.
 	hop2 []*fwdPlan
-	// hop2Recv[sender] maps the t-th forwarded x entry to an extX slot.
+	// hop2Recv[sender] maps the t-th forwarded x entry to its position
+	// in the local vector's external tail.
 	hop2Recv map[int][]int
 	// foldRow/foldSlot: outputs this proc owns whose combined partials
 	// sit in comb, y[foldRow[t]] += comb[foldSlot[t]].
@@ -101,13 +101,7 @@ type rplan struct {
 	// own computes the locally-owned outputs.
 	own  rowKernel
 	recv [2]recvPlan
-
-	// Per-call buffers, sized by resize for the call's width; vals holds
-	// the packet payloads.
-	nExt int
-	extX []float64
-	acc  []float64
-	vals valArena
+	planIO
 }
 
 // hopRecv is the slot translation of one phase-1 sender's payload.
@@ -124,23 +118,24 @@ type fwdPlan struct {
 	buf   packet
 }
 
-// resize sizes every per-call buffer of the plan for width w.
-func (p *rplan) resize(w int) {
-	p.extX = growBlock(p.extX, p.nExt*w)
-	p.acc = growBlock(p.acc, w)
-	n := 0
+// localize rewrites every kernel of the plan to its local vector (see
+// localizer) once the phase-1 packets exist.
+func (p *rplan) localize(lz localizer) {
+	ks := []*rowKernel{&p.own, &p.self}
 	for _, sp := range p.hop1 {
-		n += sp.buf.words()
+		ks = append(ks, &sp.grp)
+	}
+	p.ownIdx = lz.localize(ks...)
+}
+
+// listOut lists the plan's outgoing packets, phase 1 first, once both
+// phases' packets exist.
+func (p *rplan) listOut() {
+	for _, sp := range p.hop1 {
+		p.out = append(p.out, &sp.buf)
 	}
 	for _, fp := range p.hop2 {
-		n += fp.buf.words()
-	}
-	p.vals.reset(n * w)
-	for _, sp := range p.hop1 {
-		sp.buf.carve(&p.vals, w)
-	}
-	for _, fp := range p.hop2 {
-		fp.buf.carve(&p.vals, w)
+		p.out = append(p.out, &fp.buf)
 	}
 }
 
@@ -152,6 +147,9 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkIndexRange(d); err != nil {
+		return nil, err
+	}
 	if !d.Fused {
 		return nil, fmt.Errorf("spmv: routed engine requires a fused (s2D) distribution")
 	}
@@ -160,72 +158,30 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 	}
 	e := &RoutedEngine{mesh: mesh}
 	e.d = d
-	e.rprocs = make([]*rproc, d.K)
-	for i := range e.rprocs {
-		e.rprocs[i] = &rproc{
-			id:          i,
-			preGroups:   make(map[int][]localNZ),
+	for _, sc := range splitNZ(d) {
+		e.rprocs = append(e.rprocs, &rproc{
+			sched:       sc,
 			hop1X:       make(map[int][]int),
 			hop2X:       make(map[int][]int),
 			phase1Dests: make(map[int]struct{}),
 			phase2Dests: make(map[int]struct{}),
-			extSlot:     make(map[int]int),
-		}
+		})
 	}
 
-	// Per (owner, dest) x needs, as in the fused engine.
-	type pair struct{ from, to int }
-	xWant := make(map[pair]map[int]struct{})
-	var s2dErr error
-	d.EachNZ(func(i, j int, v float64, o int) {
-		if s2dErr != nil {
-			return
-		}
-		yOwner := d.YPart[i]
-		pr := e.rprocs[o]
-		switch {
-		case o == yOwner && o == d.XPart[j]:
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: j, val: v})
-		case o == yOwner:
-			key := pair{from: d.XPart[j], to: o}
-			if xWant[key] == nil {
-				xWant[key] = make(map[int]struct{})
+	// Build the x routing tables: the x entries dst needs from src travel
+	// via mid.
+	for _, pr := range e.rprocs {
+		src := pr.id
+		for dst, idxs := range pr.xNeed { //spmvlint:unordered per-key routing-table writes; every list is deduplicated and sorted below
+			mid := mesh.PartAt(mesh.RowOf(dst), mesh.ColOf(src))
+			if mid != src {
+				pr.hop1X[mid] = append(pr.hop1X[mid], idxs...)
+				pr.phase1Dests[mid] = struct{}{}
 			}
-			xWant[key][j] = struct{}{}
-			s, ok := pr.extSlot[j]
-			if !ok {
-				s = len(pr.extSlot)
-				pr.extSlot[j] = s
+			if dst != mid {
+				e.rprocs[mid].hop2X[dst] = append(e.rprocs[mid].hop2X[dst], idxs...)
+				e.rprocs[mid].phase2Dests[dst] = struct{}{}
 			}
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: -(s + 1), val: v})
-		case o == d.XPart[j]:
-			pr.preGroups[yOwner] = append(pr.preGroups[yOwner], localNZ{row: i, src: j, val: v})
-		default:
-			s2dErr = fmt.Errorf("spmv: nonzero (%d,%d) violates s2D", i, j)
-		}
-	})
-	if s2dErr != nil {
-		return nil, s2dErr
-	}
-
-	// Build the x routing tables.
-	for key, set := range xWant { //spmvlint:unordered per-key independent routing-table writes; idxs are sorted before use
-		src, dst := key.from, key.to
-		mid := mesh.PartAt(mesh.RowOf(dst), mesh.ColOf(src))
-		idxs := make([]int, 0, len(set))
-		for j := range set {
-			idxs = append(idxs, j)
-		}
-		sort.Ints(idxs)
-		if mid != src {
-			hop := e.rprocs[src].hop1X[mid]
-			hop = append(hop, idxs...)
-			e.rprocs[src].hop1X[mid] = hop
-			e.rprocs[src].phase1Dests[mid] = struct{}{}
-		}
-		if dst != mid {
-			e.rprocs[mid].hop2X[dst] = append(e.rprocs[mid].hop2X[dst], idxs...)
-			e.rprocs[mid].phase2Dests[dst] = struct{}{}
 		}
 	}
 	// Deduplicate hop1X payloads (two destinations in the same mesh row
@@ -272,7 +228,7 @@ func (e *RoutedEngine) ensureWidth(d dir, w int) {
 	for _, pr := range e.rprocs {
 		pr.route[colSpace] = growBlock(pr.route[colSpace], len(pr.xSlot)*w)
 		pr.route[rowSpace] = growBlock(pr.route[rowSpace], len(pr.ySlot)*w)
-		pr.plans[d].resize(w)
+		pr.plans[d].ready(&pr.loc, w)
 	}
 }
 
@@ -299,6 +255,7 @@ func (e *RoutedEngine) midNZ() []map[int][]localNZ {
 //spmv:deterministic
 func (e *RoutedEngine) compile() {
 	midNZ := e.midNZ()
+	lz := newLocalizer(e.d.A.Cols)
 	for _, pr := range e.rprocs {
 		p := &rplan{
 			carry:    colSpace,
@@ -306,8 +263,8 @@ func (e *RoutedEngine) compile() {
 			own:      compileRows(pr.ownRows),
 			hop1Recv: make(map[int]hopRecv),
 			hop2Recv: make(map[int][]int),
-			nExt:     len(pr.extSlot),
 		}
+		p.nExt = len(pr.extSlot)
 		pr.plans[fwd] = p
 
 		// Dense routed-x layout: everything this proc forwards in phase 2
@@ -365,6 +322,7 @@ func (e *RoutedEngine) compile() {
 		for _, mid := range sortedKeys(pr.phase1Dests) {
 			p.hop1 = append(p.hop1, newSendPlan(pr.id, mid, pr.hop1X[mid], compileRows(midNZ[pr.id][mid])))
 		}
+		p.localize(lz)
 
 		// Phase-2 forwards, sorted by destination: x from hop2X, y from the
 		// routed rows owned by that destination.
@@ -395,14 +353,16 @@ func (e *RoutedEngine) compile() {
 				p.foldSlot = append(p.foldSlot, pr.ySlot[r])
 			}
 		}
+		p.listOut()
 	}
 
 	// Receive translations: each sender's fixed payload is known, so the
 	// receiver precomputes slot arrays instead of doing per-word map
 	// lookups at run time. An x value whose final destination is the
-	// intermediate itself also lands in its extX.
+	// intermediate itself also lands in its local vector's external tail.
 	for _, pr := range e.rprocs {
 		p := pr.plans[fwd]
+		nOwn := len(p.ownIdx)
 		var p1Senders, p2Senders []int
 		for _, s := range e.rprocs {
 			if s.id == pr.id {
@@ -415,7 +375,7 @@ func (e *RoutedEngine) compile() {
 				for t, j := range idxs {
 					hr.x[t] = pr.xSlot[j]
 					if slot, ok := pr.extSlot[j]; ok {
-						p.extSlot = append(p.extSlot, slot)
+						p.extSlot = append(p.extSlot, nOwn+slot)
 						p.extFrom = append(p.extFrom, hr.x[t])
 					}
 				}
@@ -431,7 +391,7 @@ func (e *RoutedEngine) compile() {
 				idxs := s.hop2X[pr.id]
 				slots := make([]int, len(idxs))
 				for t, j := range idxs {
-					slots[t] = pr.extSlot[j]
+					slots[t] = nOwn + pr.extSlot[j]
 				}
 				p.hop2Recv[s.id] = slots
 			}
@@ -453,6 +413,9 @@ func dedupSelfX(xs []slotIdx) []slotIdx {
 	return out
 }
 
+// dedupSorted sorts xs and returns its distinct values in a right-sized
+// copy: plans keep the result for their lifetime, and xs is often a
+// nonzero-length scratch list with far fewer distinct values.
 func dedupSorted(xs []int) []int {
 	sort.Ints(xs)
 	out := xs[:0]
@@ -461,12 +424,13 @@ func dedupSorted(xs []int) []int {
 			out = append(out, x)
 		}
 	}
-	return out
+	return slices.Clone(out)
 }
 
 // runRouted executes one processor's part of the two-hop schedule in
-// either direction: seed the routing buffers with what this proc routes
-// as its own intermediate, ship phase-1 packets to the intermediates,
+// either direction: gather the owned x entries into the local vector,
+// seed the routing buffers with what this proc routes as its own
+// intermediate, ship phase-1 packets to the intermediates,
 // combine what arrives (x values overwrite carry slots, partials sum in
 // comb slots — the same output entry from many sources), forward the
 // combined payloads in phase 2, fold the outputs this proc owns, and
@@ -476,14 +440,16 @@ func dedupSorted(xs []int) []int {
 func (e *RoutedEngine) runRouted(pr *rproc, p *rplan, x, y []float64, w int, kid kernelID) {
 	in := e.pool.inbox
 	carry, comb := pr.route[p.carry], pr.route[p.comb]
+	xl, acc := pr.loc.xl, pr.loc.acc
 	for i := range comb {
 		comb[i] = 0
 	}
+	gatherW(xl, x, p.ownIdx, w)
 	copyPairsW(carry, p.seedSlot, x, p.seedIdx, w)
-	p.self.addIntoK(kid, comb, x, nil, w, p.acc)
+	p.self.addIntoK(kid, comb, xl, w, acc)
 	// Phase 1 sends.
 	for _, sp := range p.hop1 {
-		sp.fill(kid, x, nil, w)
+		sp.fill(kid, x, xl, w)
 		in[sp.dest][0] <- sp.buf
 	}
 	// Phase 1 receives: combine into the dense routing buffers.
@@ -492,7 +458,7 @@ func (e *RoutedEngine) runRouted(pr *rproc, p *rplan, x, y []float64, w int, kid
 		scatterW(carry, pk.xVal, hr.x, w)
 		scatterAddW(comb, pk.yVal, hr.y, w)
 	}
-	copyPairsW(p.extX, p.extSlot, carry, p.extFrom, w)
+	copyPairsW(xl, p.extSlot, carry, p.extFrom, w)
 	// Phase 2 sends: forward combined payloads to final destinations.
 	for _, fp := range p.hop2 {
 		gatherW(fp.buf.xVal, carry, fp.xSlot, w)
@@ -503,9 +469,9 @@ func (e *RoutedEngine) runRouted(pr *rproc, p *rplan, x, y []float64, w int, kid
 	addPairsW(y, p.foldRow, comb, p.foldSlot, w)
 	// Phase 2 receives.
 	for _, pk := range p.recv[1].gather(in[pr.id][1]) {
-		scatterW(p.extX, pk.xVal, p.hop2Recv[pk.from], w)
+		scatterW(xl, pk.xVal, p.hop2Recv[pk.from], w)
 		scatterAddW(y, pk.yVal, pk.yIdx, w)
 	}
 	// Compute local outputs.
-	p.own.addIntoK(kid, y, x, p.extX, w, p.acc)
+	p.own.addIntoK(kid, y, xl, w, acc)
 }

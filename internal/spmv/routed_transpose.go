@@ -22,6 +22,7 @@ import "sort"
 func (e *RoutedEngine) compileTranspose() {
 	mesh := e.mesh
 	midNZ := e.midNZ()
+	lz := newLocalizer(e.d.A.Rows)
 	for _, pr := range e.rprocs {
 		f := pr.plans[fwd]
 		ext := transposeExtSlots(pr.preGroups)
@@ -38,8 +39,8 @@ func (e *RoutedEngine) compileTranspose() {
 			foldSlot: f.seedSlot,
 			hop1Recv: make(map[int]hopRecv),
 			hop2Recv: make(map[int][]int),
-			nExt:     len(ext),
 		}
+		p.nExt = len(ext)
 		extIdx := invertSlots(pr.extSlot) // forward slot → global column
 
 		// Split this proc's nonzeros into the transpose frame.
@@ -95,13 +96,16 @@ func (e *RoutedEngine) compileTranspose() {
 			p.hop1Recv[fp.dest] = hopRecv{x: fp.ySlot, y: fp.xSlot}
 		}
 
+		p.localize(lz)
+		nOwn := len(p.ownIdx)
+
 		// Rows consumed here that route through this proc itself.
 		for _, dst := range sortedKeys(pr.preGroups) {
 			if mesh.PartAt(mesh.RowOf(dst), mesh.ColOf(pr.id)) != pr.id {
 				continue
 			}
 			for _, i := range compiledGroupRows(pr.preGroups[dst]) {
-				p.extSlot = append(p.extSlot, ext[i])
+				p.extSlot = append(p.extSlot, nOwn+ext[i])
 				p.extFrom = append(p.extFrom, pr.ySlot[i])
 			}
 		}
@@ -131,7 +135,7 @@ func (e *RoutedEngine) compileTranspose() {
 		for _, sp := range f.hop1 {
 			slots := make([]int, len(sp.grp.rows))
 			for i, r := range sp.grp.rows {
-				slots[i] = ext[r]
+				slots[i] = nOwn + ext[r]
 			}
 			p.hop2Recv[sp.dest] = slots
 		}
@@ -148,6 +152,7 @@ func (e *RoutedEngine) compileTranspose() {
 		}
 		p.recv[0] = newRecvPlan(t1Senders)
 		p.recv[1] = newRecvPlan(t2Senders)
+		p.listOut()
 		pr.plans[trans] = p
 	}
 }

@@ -51,7 +51,7 @@ func transposeExtSlots(preGroups map[int][]localNZ) map[int]int {
 // holding nonzeros in them (reverse of the forward fold), phase 1 ships
 // column partials to the column owners (reverse of the forward expand);
 // a general 2D nonzero can have both spaces remote, so the partial
-// kernels read extX and fill only after the phase-0 receives —
+// kernels read external slots and fill only after the phase-0 receives —
 // mirroring the forward order.
 func (e *Engine) compileTranspose() {
 	ext := make([]map[int]int, len(e.procs))
@@ -59,6 +59,7 @@ func (e *Engine) compileTranspose() {
 		ext[i] = transposeExtSlots(pr.preGroups)
 	}
 	plans := make([]*plan, len(e.procs))
+	lz := newLocalizer(e.d.A.Rows)
 	for i, pr := range e.procs {
 		own, pre := e.transposeKernels(pr, ext[i])
 		// x rows pr owns that a peer's forward partials covered.
@@ -68,7 +69,7 @@ func (e *Engine) compileTranspose() {
 				xOut[other.id] = compiledGroupRows(other.preGroups[pr.id])
 			}
 		}
-		plans[i] = compilePlan(pr.id, e.fused, own, pre, xOut, len(ext[i]))
+		plans[i] = compilePlan(lz, pr.id, e.fused, own, pre, xOut, len(ext[i]))
 		pr.plans[trans] = plans[i]
 	}
 	linkPlans(plans, ext, e.phases())
